@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke sched-smoke surrogate-smoke docs docs-check suite clean
+.PHONY: all build lint test bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke perfbench-check sched-smoke surrogate-smoke docs docs-check suite clean
 
 all: lint build test
 
@@ -130,6 +130,15 @@ topo-smoke:
 # byte identity, cache round-trip, and the thousands-deep load harness.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServe' ./internal/serve
+
+# The host-time benchmark's gate CI runs (mirrored here): perfbench's
+# own module vetted and its self-test (the output checkers, the
+# BENCHMARK.json metric pins, one serve pass) under the race detector,
+# then a 3-second serve-mixed run through the benchmark's entry point,
+# which exits non-zero on any wrong or failed job.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race -short ./...
+	bash perfbench/run.sh --workload serve-mixed --seed 1 --seconds 3 --trace 0
 
 # The analytic-surrogate smoke CI runs (mirrored here): the surrogate
 # and two-tier placement unit tests under the race detector, the

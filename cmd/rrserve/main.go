@@ -49,7 +49,7 @@ func run() int {
 	workers := flag.Int("workers", 0, "request workers (0 = GOMAXPROCS; changes wall clock only, never results)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 1024); submissions beyond it get 503")
 	maxBody := flag.Int64("max-body", 0, "request body bound in bytes (0 = 64 MB)")
-	poolTraces := flag.Int("pool-traces", 0, "warm evaluator pools to retain (0 = 8)")
+	poolTraces := flag.Int("pool-traces", 0, "warm evaluator pools, and decoded traces, to retain (0 = 8)")
 	cacheDir := flag.String("cache-dir", defaultCacheDir(), "artifact cache location ('' disables the persistent cache)")
 	pdes := flag.String("pdes", "auto",
 		"parallel DES inside scenario jobs: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")

@@ -441,6 +441,64 @@ func TestServeReplayPoolEviction(t *testing.T) {
 	}
 }
 
+// TestServeTraceStoreStats pins the trace store's /v1/stats counters: a
+// miss is every submission that ran trace.Decode, a failed one
+// included, so resubmitting an invalid trace is a second 400 and a
+// second miss and bad traces never enter the store; a hit is every
+// replay or optimize submission of text the store already decoded; an
+// identical resubmission coalesces before any parse and counts neither.
+func TestServeTraceStoreStats(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	check := func(step string, warm int, hits, misses int64) {
+		t.Helper()
+		if st := storeStats(t, s); st.WarmTraces != warm || st.TraceHits != hits || st.TraceMiss != misses {
+			t.Errorf("%s: warm_traces %d, trace_hits %d, trace_misses %d; want %d, %d, %d",
+				step, st.WarmTraces, st.TraceHits, st.TraceMiss, warm, hits, misses)
+		}
+	}
+	check("fresh server", 0, 0, 0)
+
+	// Well-formed JSONL whose one send has no matching recv: it decodes,
+	// then fails validation.
+	unmatched := &trace.Trace{Meta: trace.Meta{Name: "unmatched", App: "serve-test", Ranks: 2},
+		Records: []trace.Record{{Rank: 0, Seq: 0, Kind: trace.KindSend, Peer: 1, Size: 8, Dep: trace.NoDep}}}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, unmatched); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	bad := []byte(`{"trace":` + jsonString(buf.String()) + `}`)
+	for i := 1; i <= 2; i++ {
+		rec := do(t, s, http.MethodPost, "/v1/replay", bad)
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest ||
+			eb.Error.Code != "invalid_trace" {
+			t.Fatalf("invalid trace submission %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		check(fmt.Sprintf("invalid trace submission %d", i), 0, 0, int64(i))
+	}
+
+	tr := ringTraceJSONL(t, 4, 16*units.KB)
+	replay := []byte(`{"trace":` + jsonString(tr) + `}`)
+	submitWait(t, s, "/v1/replay", replay)
+	check("first replay", 1, 0, 3)
+	submitWait(t, s, "/v1/replay", []byte(`{"trace":`+jsonString(tr)+`,"placement":{"kind":"strided","stride":2}}`))
+	check("second placement", 1, 1, 3)
+	submitWait(t, s, "/v1/optimize", []byte(`{"trace":`+jsonString(tr)+
+		`,"seed":1,"greedy_rounds":1,"greedy_batch":2,"anneal_rounds":1,"anneal_batch":2}`))
+	check("optimize", 1, 2, 3)
+	submitWait(t, s, "/v1/replay", replay)
+	check("coalesced resubmission", 1, 2, 3)
+	submitWait(t, s, "/v1/collective", []byte(`{"op":"allgather-ring","nodes":8,"size_bytes":64}`))
+	check("collective", 1, 2, 3)
+
+	// A parse racing Close answers shutting_down, not invalid_trace.
+	s.Close()
+	if _, aerr := s.parseReplay(replay); aerr == nil || aerr.Code != "shutting_down" {
+		t.Errorf("replay parsed after Close: %+v, want shutting_down", aerr)
+	}
+}
+
 // jsonString marshals s as a JSON string literal.
 func jsonString(s string) string {
 	b, _ := json.Marshal(s)

@@ -101,11 +101,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, kind strin
 	job, created, aerr := s.submit(kind, body, func() (func() ([]byte, error), *apiError) {
 		switch kind {
 		case "replay":
-			return s.parseReplay(body)
+			return workOf(s.parseReplay(body))
 		case "optimize":
-			return s.parseOptimize(body)
+			return workOf(s.parseOptimize(body))
 		default:
-			return s.parseCollective(body)
+			return workOf(s.parseCollective(body))
 		}
 	})
 	if aerr != nil {
@@ -255,6 +255,12 @@ type serveStats struct {
 	WarmPools  int   `json:"warm_pools"`
 	CacheHits  int64 `json:"cache_hits"`
 	CacheMiss  int64 `json:"cache_misses"`
+	// WarmTraces counts the decoded traces the trace store holds;
+	// TraceHits the submissions it answered without decoding and
+	// TraceMiss those that ran trace.Decode, failed decodes included.
+	WarmTraces int   `json:"warm_traces"`
+	TraceHits  int64 `json:"trace_hits"`
+	TraceMiss  int64 `json:"trace_misses"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -262,8 +268,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Workers:    s.opts.Workers,
 		QueueDepth: s.opts.QueueDepth,
 		QueueLen:   len(s.queue),
-		WarmPools:  s.pools.size(),
 	}
+	st.WarmPools, _, _ = s.pools.stats()
+	st.WarmTraces, st.TraceHits, st.TraceMiss = s.traces.stats()
 	st.Jobs, st.Queued, st.Running, st.Done, st.Failed = s.tallyJobs()
 	if s.opts.Cache != nil {
 		st.CacheHits, st.CacheMiss = s.opts.Cache.Stats()

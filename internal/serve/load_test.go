@@ -96,12 +96,12 @@ func TestServeLoad(t *testing.T) {
 	// All 64 replay payloads share one trace and config, hence one warm
 	// pool; the optimize jobs add their own. The pool bound holds and
 	// evaluator reuse dominates builds.
-	if got := s.pools.size(); got > s.opts.PoolTraces {
+	if got, _, _ := s.pools.stats(); got > s.opts.PoolTraces {
 		t.Errorf("%d warm pools exceeds the PoolTraces bound %d", got, s.opts.PoolTraces)
 	}
 	var built, reused int64
 	s.pools.mu.Lock()
-	for _, p := range s.pools.pools {
+	for _, p := range s.pools.vals {
 		b, r := p.Stats()
 		built += b
 		reused += r

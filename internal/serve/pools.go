@@ -31,87 +31,119 @@ func (s *Server) checkout(key string, build func() (*trace.EvaluatorPool, error)
 	}
 }
 
-// poolCache keeps the warm trace.EvaluatorPools, one per
-// (trace digest, replay config) pair, so every replay job for a trace
-// the service has already seen checks out a warm evaluator instead of
-// revalidating the trace and rebuilding an engine. Bounded: beyond max
-// entries the oldest pool is closed — serving is an accelerator over a
+// boundedCache is the server's get-or-build cache of expensive values
+// keyed by content: the warm trace.EvaluatorPools, one per
+// (trace digest, replay config) pair, and the decoded traces, one per
+// trace digest. Bounded: beyond max entries the oldest is dropped and
+// handed to release (when non-nil) — serving is an accelerator over a
 // pure function, so eviction can change wall clock but never results.
-type poolCache struct {
-	mu     sync.Mutex
-	max    int
-	pools  map[string]*trace.EvaluatorPool
-	order  []string
-	closed bool
+type boundedCache[V any] struct {
+	release func(V) // closes an evicted or losing value; nil for none
+
+	mu           sync.Mutex
+	max          int
+	vals         map[string]V
+	order        []string
+	closed       bool
+	hits, misses int64
 }
 
-func newPoolCache(max int) *poolCache {
-	return &poolCache{max: max, pools: make(map[string]*trace.EvaluatorPool)}
+func newBoundedCache[V any](max int, release func(V)) *boundedCache[V] {
+	return &boundedCache[V]{max: max, release: release, vals: make(map[string]V)}
 }
 
-// get returns the pool for key, building it with build on first use and
-// evicting the oldest pool beyond the bound. Concurrent callers for one
-// key may race to build; the loser's pool is closed and the winner's
-// kept, so at most one pool per key is ever retained.
-func (c *poolCache) get(key string, build func() (*trace.EvaluatorPool, error)) (*trace.EvaluatorPool, error) {
+// newPoolCache keeps the warm evaluator pools, so every replay job for
+// a trace the service has already seen checks out a warm evaluator
+// instead of revalidating the trace and rebuilding an engine.
+func newPoolCache(max int) *boundedCache[*trace.EvaluatorPool] {
+	return newBoundedCache(max, (*trace.EvaluatorPool).Close)
+}
+
+// newTraceStore keeps the decoded traces by the sha256 of their text,
+// so every submission of a trace the service has already decoded skips
+// the decode and its validation. A decoded trace is read-only, so one
+// value is shared by every job that names the digest.
+func newTraceStore(max int) *boundedCache[*trace.Trace] {
+	return newBoundedCache[*trace.Trace](max, nil)
+}
+
+// get returns the value for key, building it with build on first use
+// and evicting the oldest value beyond the bound. Every call that runs
+// build counts a miss, whether or not build succeeds; a failed build is
+// never stored. Concurrent callers for one key may race to build; the
+// loser's value is released and the winner's kept, so at most one value
+// per key is ever retained.
+func (c *boundedCache[V]) get(key string, build func() (V, error)) (V, error) {
+	var zero V
 	c.mu.Lock()
-	if p, ok := c.pools[key]; ok && !c.closed {
+	if v, ok := c.vals[key]; ok && !c.closed {
+		c.hits++
 		c.mu.Unlock()
-		return p, nil
+		return v, nil
 	}
+	c.misses++
 	c.mu.Unlock()
 
-	// Build outside the lock: pool construction validates the trace and
-	// builds an engine, milliseconds the other shards shouldn't wait on.
-	p, err := build()
+	// Build outside the lock: decoding a trace or building a pool takes
+	// milliseconds the other shards shouldn't wait on.
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		p.Close()
-		return nil, errClosed
+		c.drop(v)
+		return zero, errClosed
 	}
-	if existing, ok := c.pools[key]; ok {
+	if existing, ok := c.vals[key]; ok {
 		c.mu.Unlock()
-		p.Close()
+		c.drop(v)
 		return existing, nil
 	}
-	var evict *trace.EvaluatorPool
-	if len(c.pools) >= c.max && len(c.order) > 0 {
+	var evict V
+	evicted := false
+	if len(c.vals) >= c.max && len(c.order) > 0 {
 		oldest := c.order[0]
 		c.order = append([]string(nil), c.order[1:]...)
-		evict = c.pools[oldest]
-		delete(c.pools, oldest)
+		evict, evicted = c.vals[oldest], true
+		delete(c.vals, oldest)
 	}
-	c.pools[key] = p
+	c.vals[key] = v
 	c.order = append(c.order, key)
 	c.mu.Unlock()
-	if evict != nil {
-		// Checked-out evaluators drain back through Put, which closes
-		// them once the pool is closed.
-		evict.Close()
+	if evicted {
+		// An evicted pool's checked-out evaluators drain back through
+		// Put, which closes them once the pool is closed.
+		c.drop(evict)
 	}
-	return p, nil
+	return v, nil
 }
 
-// size reports how many pools are warm.
-func (c *poolCache) size() int {
+// drop releases a value the cache no longer holds.
+func (c *boundedCache[V]) drop(v V) {
+	if c.release != nil {
+		c.release(v)
+	}
+}
+
+// stats reports how many values are warm and the lifetime hit and miss
+// counts.
+func (c *boundedCache[V]) stats() (size int, hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pools)
+	return len(c.vals), c.hits, c.misses
 }
 
-// Close closes every pool.
-func (c *poolCache) Close() {
+// Close releases every value; later gets build but never store.
+func (c *boundedCache[V]) Close() {
 	c.mu.Lock()
-	pools := c.pools
-	c.pools = make(map[string]*trace.EvaluatorPool)
+	vals := c.vals
+	c.vals = make(map[string]V)
 	c.order = nil
 	c.closed = true
 	c.mu.Unlock()
-	for _, p := range pools {
-		p.Close()
+	for _, v := range vals {
+		c.drop(v)
 	}
 }

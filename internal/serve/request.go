@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"roadrunner/internal/collectives"
@@ -156,18 +157,36 @@ func decodeStrict(data []byte, v any) *apiError {
 	return nil
 }
 
-// parseTrace decodes and validates an inline JSONL trace, returning it
-// with its content digest.
-func parseTrace(text string) (*trace.Trace, string, *apiError) {
+// parseTrace resolves an inline JSONL trace to its decoded form and
+// content digest. The digest is the sha256 of the text, and it is the
+// trace store's key: only a digest the store does not hold runs
+// trace.Decode, and only a trace that decodes and fully validates is
+// stored. A hit therefore returns a trace decoded and validated earlier
+// from byte-identical text. The trace is shared and read-only.
+func (s *Server) parseTrace(text string) (*trace.Trace, string, *apiError) {
 	if text == "" {
 		return nil, "", badRequest("missing required field \"trace\" (inline JSONL)")
 	}
-	tr, err := trace.Decode(strings.NewReader(text))
+	sum := sha256.Sum256([]byte(text))
+	digest := hex.EncodeToString(sum[:])
+	tr, err := s.traces.get(digest, func() (*trace.Trace, error) {
+		return trace.Decode(strings.NewReader(text))
+	})
+	if errors.Is(err, errClosed) {
+		return nil, "", errShuttingDown
+	}
 	if err != nil {
 		return nil, "", &apiError{Status: 400, Code: "invalid_trace", Message: err.Error()}
 	}
-	sum := sha256.Sum256([]byte(text))
-	return tr, hex.EncodeToString(sum[:]), nil
+	return tr, digest, nil
+}
+
+// workOf adapts a parsed job to the submit path's work function.
+func workOf[J interface{ run() ([]byte, error) }](j J, aerr *apiError) (func() ([]byte, error), *apiError) {
+	if aerr != nil {
+		return nil, aerr
+	}
+	return j.run, nil
 }
 
 // replayRequest is the POST /v1/replay body.
@@ -180,18 +199,31 @@ type replayRequest struct {
 	Observe      string        `json:"observe,omitempty"`
 }
 
-// parseReplay validates a replay submission and builds its work
-// function: check a warm evaluator out of the (trace, config) pool,
-// evaluate the placement, render the JSONL artifact.
-func (s *Server) parseReplay(body []byte) (func() ([]byte, error), *apiError) {
-	var req replayRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
+// replayJob is a validated replay submission: the request (its trace
+// text dropped once resolved), the shared decoded trace and everything
+// the work function fixes.
+type replayJob struct {
+	s       *Server
+	req     replayRequest
+	tr      *trace.Trace
+	digest  string
+	places  []transport.Endpoint
+	cfg     trace.ReplayConfig
+	poolKey string
+}
+
+// parseReplay validates a replay submission.
+func (s *Server) parseReplay(body []byte) (*replayJob, *apiError) {
+	j := &replayJob{s: s}
+	req := &j.req
+	if aerr := decodeStrict(body, req); aerr != nil {
 		return nil, aerr
 	}
-	tr, digest, aerr := parseTrace(req.Trace)
+	tr, digest, aerr := s.parseTrace(req.Trace)
 	if aerr != nil {
 		return nil, aerr
 	}
+	req.Trace = "" // the store holds the decoded trace; the text is dead weight
 	if math.IsNaN(req.ComputeScale) || math.IsInf(req.ComputeScale, 0) || req.ComputeScale < 0 {
 		return nil, badRequest("compute_scale %g is not a finite non-negative number", req.ComputeScale)
 	}
@@ -215,7 +247,8 @@ func (s *Server) parseReplay(body []byte) (func() ([]byte, error), *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	cfg := trace.ReplayConfig{
+	j.tr, j.digest, j.places = tr, digest, places
+	j.cfg = trace.ReplayConfig{
 		Fabric:       s.fab,
 		Profile:      ib.OpenMPI(),
 		Policy:       policy,
@@ -225,22 +258,26 @@ func (s *Server) parseReplay(body []byte) (func() ([]byte, error), *apiError) {
 	}
 	// The pool key is everything the evaluator fixes for its lifetime:
 	// the trace bytes and the config minus the placement.
-	poolKey := fmt.Sprintf("%s|cong=%v,ch=%d|skip=%v|scale=%g|obs=%d",
-		digest, policy.Enabled, policy.Channels, cfg.SkipCompute, cfg.ComputeScale, observe)
-	return func() ([]byte, error) {
-		ev, pool, err := s.checkout(poolKey, func() (*trace.EvaluatorPool, error) {
-			return trace.NewEvaluatorPool(tr, cfg, s.opts.PoolIdle)
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Put(ev)
-		res, err := ev.Evaluate(places)
-		if err != nil {
-			return nil, err
-		}
-		return renderReplay(&req, tr, digest, res)
-	}, nil
+	j.poolKey = fmt.Sprintf("%s|cong=%v,ch=%d|skip=%v|scale=%g|obs=%d",
+		digest, policy.Enabled, policy.Channels, j.cfg.SkipCompute, j.cfg.ComputeScale, observe)
+	return j, nil
+}
+
+// run checks a warm evaluator out of the (trace, config) pool,
+// evaluates the placement and renders the JSONL artifact.
+func (j *replayJob) run() ([]byte, error) {
+	ev, pool, err := j.s.checkout(j.poolKey, func() (*trace.EvaluatorPool, error) {
+		return trace.NewEvaluatorPool(j.tr, j.cfg, j.s.opts.PoolIdle)
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Put(ev)
+	res, err := ev.Evaluate(j.places)
+	if err != nil {
+		return nil, err
+	}
+	return renderReplay(&j.req, j.tr, j.digest, res)
 }
 
 // optimizeRequest is the POST /v1/optimize body. Zero search knobs take
@@ -260,18 +297,27 @@ type optimizeRequest struct {
 	AnnealBatch    int    `json:"anneal_batch,omitempty"`
 }
 
-// parseOptimize validates an optimize submission and builds its work
-// function: a full placement search seeded from the block/strided/
-// packed baselines.
-func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) {
-	var req optimizeRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
+// optimizeJob is a validated optimize submission: a full placement
+// search seeded from the block/strided/packed baselines.
+type optimizeJob struct {
+	req    optimizeRequest
+	tr     *trace.Trace
+	digest string
+	cfg    placement.Config
+}
+
+// parseOptimize validates an optimize submission.
+func (s *Server) parseOptimize(body []byte) (*optimizeJob, *apiError) {
+	j := &optimizeJob{}
+	req := &j.req
+	if aerr := decodeStrict(body, req); aerr != nil {
 		return nil, aerr
 	}
-	tr, digest, aerr := parseTrace(req.Trace)
+	tr, digest, aerr := s.parseTrace(req.Trace)
 	if aerr != nil {
 		return nil, aerr
 	}
+	req.Trace = "" // the store holds the decoded trace; the text is dead weight
 	if req.GreedyRounds < 0 || req.GreedyBatch < 0 || req.GreedyPatience < 0 ||
 		req.AnnealRounds < 0 || req.AnnealBatch < 0 {
 		return nil, badRequest("search knobs must be non-negative")
@@ -297,7 +343,8 @@ func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) 
 	if tr.Meta.Ranks > s.fab.Nodes() {
 		return nil, badRequest("trace spans %d ranks, fabric has %d nodes", tr.Meta.Ranks, s.fab.Nodes())
 	}
-	cfg := placement.Config{
+	j.tr, j.digest = tr, digest
+	j.cfg = placement.Config{
 		Trace: tr,
 		Replay: trace.ReplayConfig{
 			Fabric:      s.fab,
@@ -318,13 +365,16 @@ func (s *Server) parseOptimize(body []byte) (func() ([]byte, error), *apiError) 
 		AnnealRounds:   req.AnnealRounds,
 		AnnealBatch:    req.AnnealBatch,
 	}
-	return func() ([]byte, error) {
-		res, err := placement.Optimize(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return renderOptimize(&req, tr, digest, res)
-	}, nil
+	return j, nil
+}
+
+// run searches and renders the JSONL artifact.
+func (j *optimizeJob) run() ([]byte, error) {
+	res, err := placement.Optimize(j.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return renderOptimize(&j.req, j.tr, j.digest, res)
 }
 
 // collectiveRequest is the POST /v1/collective body.
@@ -335,53 +385,53 @@ type collectiveRequest struct {
 	Congestion string `json:"congestion,omitempty"`
 }
 
-// parseCollective validates a collective submission and builds its work
-// function: one collective run over the smallest fabric that holds it.
-func (s *Server) parseCollective(body []byte) (func() ([]byte, error), *apiError) {
-	var req collectiveRequest
-	if aerr := decodeStrict(body, &req); aerr != nil {
+// collectiveJob is a validated collective submission: one collective
+// run over the smallest fabric that holds it.
+type collectiveJob struct {
+	req collectiveRequest
+	op  collectives.Op
+	mk  func(int) (collectives.Config, error)
+}
+
+// parseCollective validates a collective submission.
+func (s *Server) parseCollective(body []byte) (*collectiveJob, *apiError) {
+	j := &collectiveJob{}
+	req := &j.req
+	if aerr := decodeStrict(body, req); aerr != nil {
 		return nil, aerr
 	}
-	op := collectives.Op(req.Op)
-	known := false
-	for _, o := range collectives.Ops() {
-		if o == op {
-			known = true
-			break
-		}
-	}
-	if !known {
+	j.op = collectives.Op(req.Op)
+	if !slices.Contains(collectives.Ops(), j.op) {
 		return nil, badRequest("unknown op %q (have %v)", req.Op, collectives.Ops())
 	}
 	if req.SizeBytes < 0 {
 		return nil, badRequest("size_bytes %d is negative", req.SizeBytes)
 	}
-	congested := true
 	switch req.Congestion {
 	case "", "on":
+		j.mk = collectives.CongestedConfig
 	case "off":
-		congested = false
+		j.mk = collectives.DefaultConfig
 	default:
 		return nil, badRequest("congestion must be \"on\" or \"off\", got %q", req.Congestion)
 	}
 	// Validate the communicator now so a bad node count is a 400 at
 	// submission, not a failed job.
-	mk := collectives.DefaultConfig
-	if congested {
-		mk = collectives.CongestedConfig
-	}
-	if _, err := mk(req.Nodes); err != nil {
+	if _, err := j.mk(req.Nodes); err != nil {
 		return nil, badRequest("%v", err)
 	}
-	return func() ([]byte, error) {
-		cfg, err := mk(req.Nodes)
-		if err != nil {
-			return nil, err
-		}
-		res, err := collectives.Run(cfg, op, units.Size(req.SizeBytes))
-		if err != nil {
-			return nil, err
-		}
-		return renderCollective(&req, res)
-	}, nil
+	return j, nil
+}
+
+// run runs the collective and renders the JSONL artifact.
+func (j *collectiveJob) run() ([]byte, error) {
+	cfg, err := j.mk(j.req.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	res, err := collectives.Run(cfg, j.op, units.Size(j.req.SizeBytes))
+	if err != nil {
+		return nil, err
+	}
+	return renderCollective(&j.req, res)
 }

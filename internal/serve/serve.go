@@ -14,6 +14,10 @@
 // (trace, config) EvaluatorPool, so serving one more placement of a
 // trace the service has already seen costs only the replay's events —
 // the same pooling win the placement optimizer's inner loop runs on.
+// In front of the pools sits a trace store keyed by the sha256 of the
+// inline trace text: a server decodes and validates each trace once
+// while it stays warm, and every later replay or optimize submission of
+// byte-identical text shares that one read-only *trace.Trace.
 // Identical submissions coalesce: a job's id is derived from the
 // request bytes, so resubmitting a queued or running job returns the
 // existing job rather than enqueueing a duplicate, and a finished
@@ -40,6 +44,7 @@ import (
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/orchestrator"
 	"roadrunner/internal/params"
+	"roadrunner/internal/trace"
 )
 
 // Options configures a Server. The zero value serves with GOMAXPROCS
@@ -60,8 +65,9 @@ type Options struct {
 	// oldest finished jobs are evicted to make room (<= 0 means 8192).
 	MaxJobs int
 	// PoolTraces bounds how many (trace, config) evaluator pools stay
-	// warm; the least recently created is closed beyond the bound
-	// (<= 0 means 8).
+	// warm, and separately how many decoded traces the trace store
+	// keeps; beyond the bound the least recently created pool is closed
+	// and the least recently decoded trace dropped (<= 0 means 8).
 	PoolTraces int
 	// PoolIdle bounds the idle evaluators each pool retains
 	// (<= 0 means Workers).
@@ -105,15 +111,17 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is one serving instance: the HTTP handler, the job registry,
-// the bounded queue, the worker pool and the warm evaluator pools.
+// the bounded queue, the worker pool, the warm evaluator pools and the
+// trace store.
 // Create with New, serve its Handler, and Close it when done.
 type Server struct {
-	opts  Options
-	mux   *http.ServeMux
-	fab   *fabric.System
-	pools *poolCache
-	queue chan *Job
-	wg    sync.WaitGroup
+	opts   Options
+	mux    *http.ServeMux
+	fab    *fabric.System
+	pools  *boundedCache[*trace.EvaluatorPool]
+	traces *boundedCache[*trace.Trace]
+	queue  chan *Job
+	wg     sync.WaitGroup
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -125,12 +133,13 @@ type Server struct {
 func New(opts Options) *Server {
 	o := opts.withDefaults()
 	s := &Server{
-		opts:  o,
-		mux:   http.NewServeMux(),
-		fab:   fabric.New(),
-		pools: newPoolCache(o.PoolTraces),
-		queue: make(chan *Job, o.QueueDepth),
-		jobs:  make(map[string]*Job),
+		opts:   o,
+		mux:    http.NewServeMux(),
+		fab:    fabric.New(),
+		pools:  newPoolCache(o.PoolTraces),
+		traces: newTraceStore(o.PoolTraces),
+		queue:  make(chan *Job, o.QueueDepth),
+		jobs:   make(map[string]*Job),
 	}
 	s.mux.HandleFunc("POST /v1/replay", s.handleReplay)
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -163,11 +172,13 @@ func (s *Server) Close() {
 	close(s.queue)
 	s.wg.Wait()
 	s.pools.Close()
+	s.traces.Close()
 }
 
 // worker drains the job queue: runs each job's work function and moves
 // it through running → done | failed, persisting finished artifacts to
-// the cache.
+// the cache. Settling a job drops its work function, so a finished job
+// retains only its artifact, never the decoded request behind it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for job := range s.queue {
@@ -198,6 +209,9 @@ func runJob(job *Job) (data []byte, err error) {
 	return job.run()
 }
 
+// errShuttingDown answers a submission once Close has begun.
+var errShuttingDown = &apiError{http.StatusServiceUnavailable, "shutting_down", "server is shutting down"}
+
 // jobKey derives a job's content address from the request kind and raw
 // body bytes plus the model-input fingerprint: identical submissions
 // map to one job, and a model recalibration changes every key.
@@ -223,7 +237,7 @@ func (s *Server) submit(kind string, body []byte, parse func() (func() ([]byte, 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, false, &apiError{http.StatusServiceUnavailable, "shutting_down", "server is shutting down"}
+		return nil, false, errShuttingDown
 	}
 	if job, ok := s.jobs[id]; ok {
 		s.mu.Unlock()
@@ -261,7 +275,7 @@ func (s *Server) enqueue(job *Job) (*Job, bool, *apiError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false, &apiError{http.StatusServiceUnavailable, "shutting_down", "server is shutting down"}
+		return nil, false, errShuttingDown
 	}
 	if existing, ok := s.jobs[job.ID]; ok {
 		// A concurrent identical submission won the race; its job is
@@ -359,7 +373,7 @@ type Job struct {
 	Kind     string
 	key      string
 	cacheKey string
-	run      func() ([]byte, error)
+	run      func() ([]byte, error) // nil once the job settles
 
 	mu        sync.Mutex
 	state     JobState
@@ -386,6 +400,7 @@ func (j *Job) setRunning() {
 
 func (j *Job) finish(data []byte, cached bool) {
 	j.mu.Lock()
+	j.run = nil
 	j.state = StateDone
 	j.result = data
 	j.cached = cached
@@ -395,6 +410,7 @@ func (j *Job) finish(data []byte, cached bool) {
 
 func (j *Job) fail(err error) {
 	j.mu.Lock()
+	j.run = nil
 	j.state = StateFailed
 	j.err = err.Error()
 	j.finished = time.Now()

@@ -104,7 +104,8 @@ func encodeLine(w *bufio.Writer, v any) error {
 // Decode parses a JSONL trace and validates it. Malformed input —
 // syntax errors, a bad header, record-count mismatches, or any invariant
 // violation Validate catches — returns an error; a trace Decode accepts
-// is safe to replay.
+// is safe to replay. The returned trace is read-only (see Trace), so a
+// caller may share one decode across concurrent replays.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)

@@ -121,6 +121,13 @@ type Meta struct {
 
 // Trace is a captured communication schedule: per-rank record streams in
 // canonical order (rank-major, sequence-minor).
+//
+// A trace is read-only once built: Decode (like capture) returns it
+// normalized and validated, and nothing downstream — Validate, the
+// evaluators and their pools, the replay engines, the surrogate, the
+// placement search — writes to its Meta or Records. One decoded trace
+// may therefore back any number of concurrent replays and searches; a
+// caller that wants to edit one works on a copy.
 type Trace struct {
 	Meta    Meta
 	Records []Record
@@ -165,6 +172,8 @@ func (t *Trace) Stats() Stats {
 // Normalize sorts the records into canonical order (rank-major,
 // sequence-minor). Decode calls it so hand-edited files in any order
 // load; capture and the codec always produce canonical order already.
+// It is the one mutator of a built trace, and only Decode calls it,
+// before the trace is returned and shared.
 func (t *Trace) Normalize() {
 	sort.SliceStable(t.Records, func(i, j int) bool {
 		a, b := t.Records[i], t.Records[j]
