@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test bench bench-full bench-artifact bench-baseline bench-compare pdes-smoke trace-smoke topo-smoke serve-smoke perfbench-check sched-smoke surrogate-smoke docs docs-check suite clean
+.PHONY: all build lint test bench bench-full bench-artifact bench-baseline bench-compare workers-smoke trace-smoke topo-smoke serve-smoke perfbench-check sched-smoke surrogate-smoke docs docs-check suite clean
 
 all: lint build test
 
@@ -33,11 +33,10 @@ bench-full:
 # (routing, link admission, queueing); the TraceReplay benches the
 # one-shot replay; the EvaluatorReplay benches the pooled batch
 # evaluation path side by side with it (the ~5x/7,500x pooling win);
-# PlacementOptimize the optimizer end to end; ParallelDES the windowed
-# cluster at 1/2/4/8 workers against the serial engine; the Surrogate
+# PlacementOptimize the optimizer end to end; the Surrogate
 # benches the analytic pricing model the two-tier search screens with
 # (price one mapping, cold-route pricing, and model compilation).
-BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|ParallelDES|TopoCompare|TopologyRoute|Surrogate
+BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate
 BENCH_PKGS = ./internal/collectives ./internal/scenario ./internal/trace ./internal/placement ./internal/surrogate ./internal/sim ./internal/facility ./internal/fabric
 
 bench-artifact:
@@ -73,22 +72,25 @@ bench-compare:
 	@join -v1 /tmp/bench-base.txt /tmp/bench-head.txt | awk '{print "baseline only: " $$1}'
 	@join -v2 /tmp/bench-base.txt /tmp/bench-head.txt | awk '{print "head only:     " $$1}'
 
-# The parallel-DES byte-identity smoke CI runs (mirrored here): the
-# coll-saturation and trace-replay experiments at GOMAXPROCS 1, 2 and
-# 8, with the result JSONL and every CSV artifact diffed byte-for-byte
-# across worker counts (only the wall-clock elapsed_ms field is
-# stripped first — it is observability output, never simulation input).
-pdes-smoke:
+# The worker-count byte-identity smoke CI runs (mirrored here): the
+# coll-saturation, trace-replay and topo-compare experiments — every
+# sweep of independent runs — at GOMAXPROCS 1, 2 and 8, with the result
+# JSONL and every CSV artifact diffed byte-for-byte across worker
+# counts. The JSONL streams in completion order, which varies with the
+# worker count, so its records are sorted by experiment id, and the
+# wall-clock elapsed_ms field is stripped — both are observability
+# output, never simulation input.
+workers-smoke:
 	@for p in 1 2 8; do \
-		echo "pdes-smoke: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) run ./cmd/rrexp -run coll-saturation,trace-replay -parallel -quiet \
-			-jsonl /tmp/pdes-$$p.jsonl -csv /tmp/pdes-csv-$$p || exit 1; \
-		jq -c 'del(.elapsed_ms)' /tmp/pdes-$$p.jsonl > /tmp/pdes-$$p.stripped.jsonl || exit 1; \
+		echo "workers-smoke: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) run ./cmd/rrexp -run coll-saturation,trace-replay,topo-compare -parallel -quiet \
+			-jsonl /tmp/workers-$$p.jsonl -csv /tmp/workers-csv-$$p || exit 1; \
+		jq -s -c 'sort_by(.id)[] | del(.elapsed_ms)' /tmp/workers-$$p.jsonl > /tmp/workers-$$p.stripped.jsonl || exit 1; \
 	done
-	diff /tmp/pdes-1.stripped.jsonl /tmp/pdes-2.stripped.jsonl
-	diff /tmp/pdes-1.stripped.jsonl /tmp/pdes-8.stripped.jsonl
-	diff -r -x suite-summary.csv /tmp/pdes-csv-1 /tmp/pdes-csv-2
-	diff -r -x suite-summary.csv /tmp/pdes-csv-1 /tmp/pdes-csv-8
+	diff /tmp/workers-1.stripped.jsonl /tmp/workers-2.stripped.jsonl
+	diff /tmp/workers-1.stripped.jsonl /tmp/workers-8.stripped.jsonl
+	diff -r -x suite-summary.csv /tmp/workers-csv-1 /tmp/workers-csv-2
+	diff -r -x suite-summary.csv /tmp/workers-csv-1 /tmp/workers-csv-8
 
 # The rrtrace capture→replay→optimize smoke CI runs (mirrored here).
 trace-smoke:

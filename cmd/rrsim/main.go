@@ -10,6 +10,7 @@
 //	rrsim -chip                 # SPU pipeline microbenchmarks
 //	rrsim -memory               # Table III memory characterisation
 //	rrsim -des                  # Sweep3D on the DES machine + engine stats
+//	                            # + its schedule replayed per placement
 //	rrsim -collective allreduce-ring -ranks 64 -msg 1048576
 //	                            # one collective on the DES + engine stats
 //	rrsim -collective list      # the implemented algorithms
@@ -27,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"roadrunner"
@@ -55,15 +57,9 @@ func main() {
 	congestion := flag.String("congestion", "on",
 		"link congestion for -collective: on routes messages over the cable topology with finite-capacity channels; off reproduces the infinite-capacity fabric")
 	toplinks := flag.Int("toplinks", 5, "contended links to print after a congested -collective run (the census keeps the 10 hottest)")
-	pdes := flag.String("pdes", "auto",
-		"parallel DES for batch runs: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")
 	topology := flag.String("topology", "",
 		"fabric topology for -hops/-census/-audit/-collective (see fabric.Topologies; default: the paper's tapered fat-tree)")
 	flag.Parse()
-	if err := scenario.ApplyPDESFlag(*pdes); err != nil {
-		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
-		os.Exit(2)
-	}
 	if err := scenario.ApplyTopologyFlag(*topology); err != nil {
 		fmt.Fprintf(os.Stderr, "rrsim: %v\n", err)
 		os.Exit(2)
@@ -142,11 +138,9 @@ func main() {
 		fmt.Printf("engine: %d events dispatched, calendar peak %d, %.0f events/s host\n",
 			st.Dispatched, st.CalendarPeak,
 			float64(st.Dispatched)/wall.Seconds())
-		if workers := scenario.ParallelWorkers(); workers > 1 {
-			if err := desParallelStats(px, py, workers); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
+		if err := desPlacementReplays(cfg, px, py); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 	}
 	if *coll != "" {
@@ -206,16 +200,12 @@ func main() {
 	}
 }
 
-// desParallelStats reruns the -des Sweep3D model through the parallel
-// DES path: the run's wavefront schedule is captured as a trace and
-// replayed under the three standard placements on the congested fabric,
-// one sim.Cluster domain per placement, spread over the -pdes workers.
-// The per-domain counters (events executed, windows, cross-domain
-// messages) and per-worker busy/idle make the partition's lookahead
-// quality observable; the replay results themselves are byte-identical
-// to serial replays of the same placements.
-func desParallelStats(px, py, workers int) error {
-	cfg := sweep3d.Config{I: 5, J: 5, K: 40, MK: 10, Angles: 6}
+// desPlacementReplays captures the -des Sweep3D run's wavefront
+// schedule as a trace and replays it under the three standard
+// placements on the congested fabric, one independent replay per
+// placement on a GOMAXPROCS pool of warm evaluators; the results are
+// byte-identical to serial replays of the same placements.
+func desPlacementReplays(cfg sweep3d.Config, px, py int) error {
 	_, tr, err := sweep3d.CaptureDES(cfg, px, py, cml.CurrentSoftware())
 	if err != nil {
 		return err
@@ -232,26 +222,27 @@ func desParallelStats(px, py, workers int) error {
 		}
 		placements[i] = p
 	}
-	start := time.Now()
-	results, dstats, wstats, err := trace.ReplayMany(tr, trace.ReplayConfig{
+	workers := runtime.GOMAXPROCS(0)
+	pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 		Fabric:  fab,
 		Profile: ib.OpenMPI(),
 		Policy:  transport.Congested(),
-	}, placements, workers)
+	}, workers)
+	if err != nil {
+		return err
+	}
+	defer pool.Close()
+	start := time.Now()
+	results, err := pool.EvaluateMany(placements, workers)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
-	fmt.Printf("parallel DES: %d domains (one per placement replay) on %d workers, %v wall clock\n",
-		len(results), len(wstats), wall.Round(time.Millisecond))
-	for i, st := range dstats {
-		fmt.Printf("  domain %d %-8s %9d events, %d windows, %d cross-domain msgs, makespan %v\n",
-			i, scenario.TraceReplayPlacementNames[i], st.Events, st.Windows,
-			st.Sent+st.Received, results[i].Time)
-	}
-	for w, st := range wstats {
-		fmt.Printf("  worker %d: busy %v, idle %v\n",
-			w, st.Busy.Round(time.Microsecond), st.Idle.Round(time.Microsecond))
+	fmt.Printf("congested placement replays: %d, %v wall clock\n",
+		len(results), wall.Round(time.Millisecond))
+	for i, res := range results {
+		fmt.Printf("  %-8s %9d events, makespan %v\n",
+			scenario.TraceReplayPlacementNames[i], res.EngineStats.Dispatched, res.Time)
 	}
 	return nil
 }

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -48,7 +49,6 @@ import (
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/placement"
-	"roadrunner/internal/scenario"
 	"roadrunner/internal/sweep3d"
 	"roadrunner/internal/trace"
 	"roadrunner/internal/transport"
@@ -86,7 +86,7 @@ func usage() {
   rrtrace capture [-px N -py N -i/-j/-k/-mk/-angles N] -o FILE
   rrtrace inspect -i FILE | inspect -spec
   rrtrace replay -i FILE [-placement block|strided|packed|all] [-stride N]
-                 [-per-node N] [-core N] [-congestion on|off] [-pdes off|auto|N]
+                 [-per-node N] [-core N] [-congestion on|off]
                  [-skip-compute] [-toplinks N] [-messages N] [-topology NAME]
   rrtrace optimize -i FILE [-seed N] [-workers N] [-congestion on|off]
                  [-full-schedule] [-greedy-rounds N] [-greedy-batch N]
@@ -331,12 +331,10 @@ func replay(args []string) int {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "trace file (required)")
 	placement := fs.String("placement", "block",
-		"rank→node mapping: block, strided, packed — or all, replaying every mapping as parallel DES domains")
+		"rank→node mapping: block, strided, packed — or all, replaying every mapping on a GOMAXPROCS worker pool")
 	stride := fs.Int("stride", 180, "node stride for -placement strided")
 	perNode := fs.Int("per-node", 4, "ranks per node for -placement packed")
 	core := fs.Int("core", 1, "issuing Opteron core for block/strided placements")
-	pdes := fs.String("pdes", "auto",
-		"parallel DES for -placement all: off (serial engine), auto (GOMAXPROCS workers) or a worker count; results are identical at any setting")
 	congestion := fs.String("congestion", "on",
 		"link congestion: on holds wormhole channels on every routed cable; off is the infinite-capacity fabric")
 	skipCompute := fs.Bool("skip-compute", false, "strip compute records: replay the bare communication schedule")
@@ -359,10 +357,6 @@ func replay(args []string) int {
 		return 2
 	}
 	if *placement == "all" {
-		if err := scenario.ApplyPDESFlag(*pdes); err != nil {
-			fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
-			return 2
-		}
 		return replayAll(tr, fab, *stride, *perNode, *core, *congestion, *skipCompute)
 	}
 	var places []collectives.Placement
@@ -432,11 +426,9 @@ func replay(args []string) int {
 }
 
 // replayAll replays the trace under the block, strided and packed
-// placements as domains of a zero-lookahead parallel-DES cluster: each
-// placement is an independent simulation run to completion on its own
-// domain engine, spread over the -pdes workers, with results
-// byte-identical to three serial replays. The per-domain counters and
-// per-worker busy/idle it prints are the cluster's own accounting.
+// placements on a GOMAXPROCS pool of warm evaluators: each placement is
+// an independent simulation, with results byte-identical to three
+// serial replays.
 func replayAll(tr *trace.Trace, fab *fabric.System, stride, perNode, core int,
 	congestion string, skipCompute bool) int {
 	names := []string{"block", "strided", "packed"}
@@ -460,32 +452,29 @@ func replayAll(tr *trace.Trace, fab *fabric.System, stride, perNode, core int,
 		fmt.Fprintf(os.Stderr, "rrtrace replay: -congestion must be on or off, got %q\n", congestion)
 		return 2
 	}
-	workers := scenario.ParallelWorkers()
+	workers := runtime.GOMAXPROCS(0)
+	pool, err := trace.NewEvaluatorPool(tr, cfg, workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer pool.Close()
 	start := time.Now()
-	results, dstats, wstats, err := trace.ReplayMany(tr, cfg, placements, workers)
+	results, err := pool.EvaluateMany(placements, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	wall := time.Since(start)
-	fmt.Printf("replayed %s under %d placements (congestion %s) as parallel DES domains: %v wall clock\n",
+	fmt.Printf("replayed %s under %d placements (congestion %s): %v wall clock\n",
 		tr.Meta.Name, len(placements), congestion, wall.Round(time.Millisecond))
 	for i, res := range results {
-		fmt.Printf("  %-8s %v simulated, %d messages, %v on the wire\n",
-			names[i], res.Time, res.Messages, res.WireBytes)
+		fmt.Printf("  %-8s %v simulated, %d messages, %v on the wire, %d events\n",
+			names[i], res.Time, res.Messages, res.WireBytes, res.EngineStats.Dispatched)
 		if c := res.Congestion; c != nil {
 			fmt.Printf("           census: %d links carried flows, %d queued, %v total wait\n",
 				c.Links, c.Queued, c.TotalWait)
 		}
-	}
-	fmt.Printf("  domains: %d, lookahead 0 (independent runs)\n", len(dstats))
-	for i, st := range dstats {
-		fmt.Printf("    domain %d %-8s %9d events, %d windows, %d cross-domain msgs\n",
-			i, names[i], st.Events, st.Windows, st.Sent+st.Received)
-	}
-	for w, st := range wstats {
-		fmt.Printf("    worker %d: busy %v, idle %v\n",
-			w, st.Busy.Round(time.Microsecond), st.Idle.Round(time.Microsecond))
 	}
 	return 0
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
@@ -349,19 +351,11 @@ func reducedValue(p, i int) float64 {
 	return float64(1000003)*float64(p)*float64(p+1)/2 + float64(p)*float64(i*7919)
 }
 
-// pendingRun is one prepared collective: its comm and rank procs live on
-// an engine the caller runs (alone, or as one domain of a sim.Cluster).
-type pendingRun struct {
-	c    *comm
-	op   Op
-	size units.Size
-	out  [][]float64
-}
-
-// prepare validates the run's inputs and spawns its rank procs on eng.
-// The spawned state is exactly what Run builds, so finishing a prepared
-// run yields a Result byte-identical to Run's.
-func prepare(eng *sim.Engine, cfg Config, op Op, size units.Size) (*pendingRun, error) {
+// Run executes one collective on a fresh engine and returns its Result.
+// The run is deterministic and self-validating: reductions, gathers and
+// broadcasts check their semantic payloads against the collective's
+// definition and fail loudly on any algorithm bug.
+func Run(cfg Config, op Op, size units.Size) (*Result, error) {
 	ranks := len(cfg.Places)
 	if ranks == 0 {
 		return nil, fmt.Errorf("collectives: no ranks placed")
@@ -376,41 +370,24 @@ func prepare(eng *sim.Engine, cfg Config, op Op, size units.Size) (*pendingRun, 
 	if !ok {
 		return nil, fmt.Errorf("collectives: unknown op %q (have %v)", op, Ops())
 	}
-	pr := &pendingRun{c: newComm(eng, cfg), op: op, size: size, out: make([][]float64, ranks)}
+	eng := sim.NewEngine()
+	defer eng.Close()
+	c := newComm(eng, cfg)
+	out := make([][]float64, ranks)
 	for r := 0; r < ranks; r++ {
 		r := r
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			pr.out[r] = algo(pr.c, p, r, size)
-			pr.c.finish[r] = p.Now()
+			out[r] = algo(c, p, r, size)
+			c.finish[r] = p.Now()
 		})
 	}
-	return pr, nil
-}
-
-// finish validates the completed run's semantic payloads and assembles
-// its Result.
-func (pr *pendingRun) finish(st sim.Stats) (*Result, error) {
-	if err := validate(pr.op, pr.c.cfg, pr.out); err != nil {
-		return nil, err
-	}
-	return pr.c.result(pr.op, pr.size, pr.out, st), nil
-}
-
-// Run executes one collective on a fresh engine and returns its Result.
-// The run is deterministic and self-validating: reductions, gathers and
-// broadcasts check their semantic payloads against the collective's
-// definition and fail loudly on any algorithm bug.
-func Run(cfg Config, op Op, size units.Size) (*Result, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	pr, err := prepare(eng, cfg, op, size)
-	if err != nil {
-		return nil, err
-	}
 	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("collectives: %s over %d ranks: %w", op, len(cfg.Places), err)
+		return nil, fmt.Errorf("collectives: %s over %d ranks: %w", op, ranks, err)
 	}
-	return pr.finish(eng.Stats())
+	if err := validate(op, cfg, out); err != nil {
+		return nil, err
+	}
+	return c.result(op, size, out, eng.Stats()), nil
 }
 
 // Request is one independent collective run, for RunMany.
@@ -420,16 +397,16 @@ type Request struct {
 	Size units.Size
 }
 
-// RunMany executes independent collective runs concurrently, one
-// sim.Cluster domain per request, spread over the given number of
-// worker goroutines (workers < 1 uses one worker per request up to
-// GOMAXPROCS). Each run is its own engine, transport and fabric
-// state — the CU/communicator granularity at which the machine
-// partitions cleanly, since the ib endpoint model couples a
-// communicator's HCAs at instant granularity — so every Result is
-// byte-identical to Run's for the same request, in request order, at
-// any worker count. The serial engine path is unchanged: workers == 1
-// executes the same domains on one goroutine.
+// RunMany executes independent collective runs on a pool of worker
+// goroutines (workers < 1 means GOMAXPROCS), each worker calling Run
+// on the next unclaimed request. Every run owns its engine, transport
+// and fabric state, so each Result is byte-identical to Run's for the
+// same request, and the results come back in request order at any
+// worker count. A failure stops the claiming of further requests; the
+// error returned is the lowest-indexed failure's, naming its index —
+// every request below the first failure observed was already claimed
+// and runs to completion, so which error is reported never depends on
+// the worker count or on scheduling.
 func RunMany(reqs []Request, workers int) ([]*Result, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("collectives: no requests")
@@ -437,26 +414,35 @@ func RunMany(reqs []Request, workers int) ([]*Result, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cl := sim.NewCluster(len(reqs), 0)
-	defer cl.Close()
-	prs := make([]*pendingRun, len(reqs))
-	for i, rq := range reqs {
-		pr, err := prepare(cl.Domain(i), rq.Cfg, rq.Op, rq.Size)
+	workers = min(workers, len(reqs))
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				rq := reqs[i]
+				if results[i], errs[i] = Run(rq.Cfg, rq.Op, rq.Size); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("collectives: request %d: %w", i, err)
 		}
-		prs[i] = pr
-	}
-	if err := cl.Run(workers); err != nil {
-		return nil, fmt.Errorf("collectives: parallel runs: %w", err)
-	}
-	results := make([]*Result, len(reqs))
-	for i, pr := range prs {
-		res, err := pr.finish(cl.Domain(i).Stats())
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
 	}
 	return results, nil
 }

@@ -44,10 +44,10 @@ type Experiment struct {
 	// pin, in one sentence; rrexp -list prints it under each entry.
 	Description string
 	// Expensive marks experiments whose single run dominates the whole
-	// suite (the congestion sweep today; its full-machine alltoall is
-	// minutes of serial event loop, seconds under parallel DES). The
-	// -short test skip and the experiment docs consult this one flag
-	// instead of keeping their own ID lists.
+	// suite (the congestion sweep today: about two minutes on one
+	// worker, its congested full-machine alltoall alone about 40 s on a
+	// 2-core Xeon box). The -short test skip and the experiment docs
+	// consult this one flag instead of keeping their own ID lists.
 	Expensive bool
 	Run       func() *Artifact
 }

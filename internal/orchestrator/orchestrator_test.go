@@ -40,10 +40,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	// The whole registry, Expensive experiments included: the parallel
-	// DES path spreads the congestion sweep's independent runs across
-	// cores, so the double run is affordable everywhere (-pdes=off on
-	// the CLIs, or SetParallel(1), still forces the serial engine).
+	// The whole registry, Expensive experiments included: the sweeps
+	// spread their independent runs over a GOMAXPROCS pool, so the
+	// double run is affordable everywhere.
 	exps := experiments.All()
 	ctx := context.Background()
 	serial, err := Run(ctx, exps, Options{Workers: 1})

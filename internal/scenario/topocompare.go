@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"roadrunner/internal/collectives"
@@ -108,16 +109,13 @@ type TopoCompareReport struct {
 }
 
 // TopoCompare runs the collective and replay legs on every registered
-// topology. Every run is an independent simulation, spread over
-// ParallelWorkers() with results byte-identical to the serial loop
-// (SetParallel(1), the CLIs' -pdes=off, still takes the serial path
-// verbatim).
+// topology. Every run is an independent simulation on a GOMAXPROCS
+// pool, with results byte-identical at any worker count.
 func TopoCompare() (*TopoCompareReport, error) {
 	rep := &TopoCompareReport{Topologies: fabric.Topologies()}
 
 	// Collective leg: (topology x op) congested + baseline requests,
-	// batched through the same RunMany cluster the saturation sweep
-	// uses.
+	// batched through the same RunMany pool the saturation sweep uses.
 	var reqs []collectives.Request
 	for _, topo := range rep.Topologies {
 		for _, op := range TopoCompareOps {
@@ -134,21 +132,9 @@ func TopoCompare() (*TopoCompareReport, error) {
 				collectives.Request{Cfg: congCfg, Op: op, Size: TopoCompareSize})
 		}
 	}
-	results := make([]*collectives.Result, len(reqs))
-	if workers := ParallelWorkers(); workers > 1 {
-		rs, err := collectives.RunMany(reqs, workers)
-		if err != nil {
-			return nil, fmt.Errorf("scenario topo-compare: %w", err)
-		}
-		copy(results, rs)
-	} else {
-		for i, rq := range reqs {
-			r, err := collectives.Run(rq.Cfg, rq.Op, rq.Size)
-			if err != nil {
-				return nil, fmt.Errorf("scenario topo-compare: %w", err)
-			}
-			results[i] = r
-		}
+	results, err := collectives.RunMany(reqs, 0)
+	if err != nil {
+		return nil, fmt.Errorf("scenario topo-compare: %w", err)
 	}
 	i := 0
 	for _, topo := range rep.Topologies {
@@ -214,7 +200,7 @@ func TopoCompare() (*TopoCompareReport, error) {
 			placements[topo] = append(placements[topo], places)
 		}
 	}
-	workers := ParallelWorkers()
+	workers := runtime.GOMAXPROCS(0)
 	run := func(l leg) ([]*trace.ReplayResult, error) {
 		pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 			Fabric:  fabs[l.topo],
@@ -234,22 +220,15 @@ func TopoCompare() (*TopoCompareReport, error) {
 	}
 	legResults := make([][]*trace.ReplayResult, len(legs))
 	legErrs := make([]error, len(legs))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for i, l := range legs {
-			i, l := i, l
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				legResults[i], legErrs[i] = run(l)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, l := range legs {
+	var wg sync.WaitGroup
+	for i, l := range legs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			legResults[i], legErrs[i] = run(l)
-		}
+		}()
 	}
+	wg.Wait()
 	for _, err := range legErrs {
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"roadrunner/internal/cml"
@@ -176,11 +177,10 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 	// One evaluator pool per (policy, skip-compute) configuration, each
 	// replaying every placement: the trace validates once per pool and
 	// the engine/transport state is reused across the sweep. The pool's
-	// EvaluateMany spreads the placements over ParallelWorkers() warm
+	// EvaluateMany spreads the placements over GOMAXPROCS warm
 	// evaluators — and the four configurations themselves run
-	// concurrently — with results byte-identical to the serial walk,
-	// which SetParallel(1) (the CLIs' -pdes=off) still takes verbatim.
-	workers := ParallelWorkers()
+	// concurrently — with results byte-identical at any worker count.
+	workers := runtime.GOMAXPROCS(0)
 	run := func(pol transport.Policy, skipCompute bool, what string) ([]*trace.ReplayResult, error) {
 		pool, err := trace.NewEvaluatorPool(tr, trace.ReplayConfig{
 			Fabric:      fab,
@@ -213,23 +213,15 @@ func ReplayUnderPlacements(tr *trace.Trace, captureIteration units.Time) (*Trace
 	}
 	results := make([][]*trace.ReplayResult, len(configs))
 	errs := make([]error, len(configs))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for i, c := range configs {
-			i, c := i, c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[i], errs[i] = run(c.pol, c.skip, c.what)
-			}()
-		}
-		wg.Wait()
-	} else {
-		// Serial escape hatch: the four configurations in order.
-		for i, c := range configs {
+	var wg sync.WaitGroup
+	for i, c := range configs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			results[i], errs[i] = run(c.pol, c.skip, c.what)
-		}
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -106,68 +107,61 @@ func (p *EvaluatorPool) Put(e *Evaluator) {
 }
 
 // EvaluateMany replays every placement and returns the results in
-// input order. With workers > 1 the placements spread across up to that
-// many checked-out evaluators running concurrently — the pool's
-// opt-in parallel knob; workers <= 1 is the serial default, one warm
-// evaluator walking the placements in order, exactly the pre-pool loop.
-// Because Evaluate on any pooled evaluator is pinned byte-identical to
-// a fresh Replay of the same placement, which evaluator handles which
-// placement is observable only in wall clock: the returned results are
-// identical at every worker count. The first evaluation error aborts
-// the batch.
+// input order. The placements spread across up to workers checked-out
+// evaluators (workers < 1 means one), each worker evaluating the next
+// unclaimed placement; one worker walks them in order. Because
+// Evaluate on any pooled evaluator is pinned byte-identical to a fresh
+// Replay of the same placement, which evaluator handles which placement
+// is observable only in wall clock: the returned results are identical
+// at every worker count. A failure stops the claiming of further
+// placements, and the error returned is the lowest-indexed failure's —
+// every placement below the first failure observed was already claimed
+// — so it too is independent of the worker count.
 func (p *EvaluatorPool) EvaluateMany(placements [][]transport.Endpoint, workers int) ([]*ReplayResult, error) {
+	if len(placements) == 0 {
+		return nil, fmt.Errorf("trace: replay: no placements")
+	}
+	workers = min(max(workers, 1), len(placements))
 	out := make([]*ReplayResult, len(placements))
-	if workers > len(placements) {
-		workers = len(placements)
-	}
-	if workers <= 1 {
-		ev, err := p.Get()
-		if err != nil {
-			return nil, err
-		}
-		defer p.Put(ev)
-		for i, places := range placements {
-			r, err := ev.Evaluate(places)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
+	errs := make([]error, len(placements))
 	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstE  error
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		once   sync.Once
+		getErr error // a checkout failure: the pool was closed
 	)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ev, err := p.Get()
 			if err != nil {
-				errOnce.Do(func() { firstE = err })
+				once.Do(func() { getErr = err })
+				failed.Store(true)
 				return
 			}
 			defer p.Put(ev)
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(placements) {
 					return
 				}
-				r, err := ev.Evaluate(placements[i])
-				if err != nil {
-					errOnce.Do(func() { firstE = err })
-					return
+				if out[i], errs[i] = ev.Evaluate(placements[i]); errs[i] != nil {
+					failed.Store(true)
+					return // a failed Evaluate may have closed ev
 				}
-				out[i] = r
 			}
 		}()
 	}
 	wg.Wait()
-	if firstE != nil {
-		return nil, firstE
+	if getErr != nil {
+		return nil, getErr
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -239,6 +241,76 @@ func TestEvaluatorPoolClosedRetry(t *testing.T) {
 	for w, err := range errs {
 		if err != nil {
 			t.Errorf("worker %d under concurrent close: %v", w, err)
+		}
+	}
+}
+
+// TestEvaluateManyMatchesFreshReplays pins the batch contract: over N
+// placements EvaluateMany returns, at every worker count, exactly the
+// results a serial loop of fresh Replay calls produces, in input order.
+func TestEvaluateManyMatchesFreshReplays(t *testing.T) {
+	fab := fabric.NewScaled(1)
+	tr := meshTrace(t, 16, 96*units.KB)
+	placements := evalPlacements(fab, 16)
+	placements = append(placements, placements...) // more placements than some pools
+	cfg := ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(),
+		Policy: transport.Congested(), Observe: ObserveAll}
+
+	want := make([]*ReplayResult, len(placements))
+	for i, places := range placements {
+		one := cfg
+		one.Places = places
+		r, err := Replay(tr, one)
+		if err != nil {
+			t.Fatalf("fresh replay %d: %v", i, err)
+		}
+		want[i] = r
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		pool, err := NewEvaluatorPool(tr, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pool.EvaluateMany(placements, workers)
+		pool.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("workers=%d placement %d: batch result differs from fresh replay\n  batch: %+v\n  fresh: %+v",
+					workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEvaluateManyRejectsBadInput covers the batch error paths: an
+// empty placement set and an invalid placement fail loudly, and with
+// two bad placements the lower-indexed one's error is reported at
+// every worker count.
+func TestEvaluateManyRejectsBadInput(t *testing.T) {
+	fab := fabric.NewScaled(1)
+	tr := meshTrace(t, 4, units.KB)
+	pool, err := NewEvaluatorPool(tr, ReplayConfig{Fabric: fab, Profile: ib.OpenMPI()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if _, err := pool.EvaluateMany(nil, 2); err == nil {
+		t.Error("no placements accepted")
+	}
+	good := evalPlacements(fab, 4)
+	badCore := func(core int) []transport.Endpoint {
+		p := append([]transport.Endpoint(nil), good[0]...)
+		p[0].Core = core
+		return p
+	}
+	batch := [][]transport.Endpoint{good[0], good[1], badCore(7), good[2], badCore(9)}
+	for _, workers := range []int{1, 2, 4, 8} {
+		_, err := pool.EvaluateMany(batch, workers)
+		if err == nil || !strings.Contains(err.Error(), "core 7") {
+			t.Errorf("workers=%d: error %v, want the lower-indexed bad placement's (core 7)", workers, err)
 		}
 	}
 }
