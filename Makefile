@@ -35,9 +35,11 @@ bench-full:
 # evaluation path side by side with it (the ~5x/7,500x pooling win);
 # PlacementOptimize the optimizer end to end; the Surrogate
 # benches the analytic pricing model the two-tier search screens with
-# (price one mapping, cold-route pricing, and model compilation).
-BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate
-BENCH_PKGS = ./internal/collectives ./internal/scenario ./internal/trace ./internal/placement ./internal/surrogate ./internal/sim ./internal/facility ./internal/fabric
+# (price one mapping, cold-route pricing, and model compilation);
+# RouteCacheFullMachine the transport route table's footprint (B/op of
+# deriving every full-machine fat-tree route on one Net).
+BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate|RouteCache
+BENCH_PKGS = ./internal/collectives ./internal/scenario ./internal/trace ./internal/placement ./internal/surrogate ./internal/sim ./internal/facility ./internal/fabric ./internal/transport
 
 bench-artifact:
 	$(GO) test -json -run '^$$' -bench '$(BENCH_RE)' \

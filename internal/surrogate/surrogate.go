@@ -22,8 +22,8 @@
 //     under the multi-flow and duplex caps — the load-balance term the
 //     walk's completion-time view underweights;
 //   - an M/M/1-style waiting-time term per contended link — the traffic
-//     matrix folded through the topology's routes, resolved from the
-//     same transport route cache the DES uses in transport.PairPath
+//     matrix folded through the topology's routes, read through the
+//     transport route cache's view (transport.Net.Route) in the DES's
 //     admission order — split into the 2:1-tapered uplink tier and
 //     everything else, with utilization measured against the walk
 //     horizon.
@@ -80,16 +80,6 @@ const (
 	evStart
 )
 
-// routeEntry is one compiled directed node-pair route: the latency
-// decomposition plus the admission-controlled links as dense indices
-// into the model's link table, in transport acquisition order.
-type routeEntry struct {
-	fabLat   units.Time
-	rdvExtra units.Time
-	links    []int32
-	derived  bool
-}
-
 // compiled is the trace's dependency DAG flattened for the walk, built
 // once and shared read-only across clones. Only communication records
 // survive as ops (canonical rank-major order, so off slices each
@@ -130,12 +120,7 @@ type Model struct {
 	dupPs float64 // ps/byte at the duplex-aggregate rate
 
 	eng *sim.Engine    // never run; owns the route-resolving net's state
-	net *transport.Net // route resolution only
-
-	linkIdx map[uint64]int32  // link Key → dense index
-	lkind   []fabric.LinkKind // by dense index
-	routes  [][]routeEntry    // by fabric cache row, rows lazily sized
-	lbuf    []fabric.Link     // AdmissionLinks scratch
+	net *transport.Net // route cache and link ids, read through Net.Route
 
 	// Per-candidate pair table (traffic-matrix Pairs order).
 	pairs []pairInfo
@@ -147,11 +132,11 @@ type Model struct {
 	deliv       []int64   // per record: send's delivery time (0 = not yet)
 	waiter      []int32   // per record: rank blocked on this send, -1 none
 	nOutC, nInC []int32   // per global node: active flow counts by direction
-	linkBusy    []int64   // per dense link: busy-until (queueing policies)
+	linkBusy    []int64   // per net link id: busy-until (queueing policies)
 	heap        []walkEv  // pending flow events, packed keys
 	work        []int32   // runnable-rank stack
-	lbytes      []float64 // per dense link
-	lmsgs       []float64 // per dense link
+	lbytes      []float64 // per net link id
+	lmsgs       []float64 // per net link id
 	ltouch      []int32
 	nin, nout   []float64 // per global node
 	ntouch      []int32
@@ -290,9 +275,6 @@ func newModel(mat *trace.TrafficMatrix, dag *compiled, fab *fabric.System, prof 
 		dupPs:    psPerByte(prof.DuplexAggregate),
 		eng:      eng,
 		net:      transport.New(eng, fab, prof, pol),
-		linkIdx:  make(map[uint64]int32),
-		routes:   make([][]routeEntry, fab.CacheRows()),
-		lbuf:     make([]fabric.Link, 0, fab.MaxRouteLen()),
 		pairs:    make([]pairInfo, len(mat.Pairs)),
 		clk:      make([]int64, mat.Ranks),
 		pc:       make([]int32, mat.Ranks),
@@ -447,48 +429,6 @@ func ratePs(stream, mfPs, dupPs float64, sOut, sIn, dOut, dIn int32) float64 {
 	return ps
 }
 
-// route returns (compiling on first use) the directed node-pair route.
-func (m *Model) route(src, dst fabric.NodeID) *routeEntry {
-	row := m.routes[m.fab.CacheKey(src)]
-	if row == nil {
-		row = make([]routeEntry, m.fab.Nodes())
-		m.routes[m.fab.CacheKey(src)] = row
-	}
-	re := &row[dst.GlobalID()]
-	if !re.derived {
-		pp := m.net.PairPath(src, dst)
-		re.fabLat = pp.FabricLatency()
-		re.rdvExtra = pp.RendezvousExtra()
-		m.lbuf = pp.AdmissionLinks(m.lbuf[:0])
-		if len(m.lbuf) > 0 {
-			re.links = make([]int32, len(m.lbuf))
-			for i, l := range m.lbuf {
-				re.links[i] = m.linkDense(l)
-			}
-		}
-		re.derived = true
-	}
-	return re
-}
-
-// linkDense returns the link's dense index, growing the table on first
-// sight. Indices depend on derivation history, but they are identity
-// keys only: accumulation and summation order follow the canonical
-// pair order, so prices do not.
-func (m *Model) linkDense(l fabric.Link) int32 {
-	k := l.Key()
-	if li, ok := m.linkIdx[k]; ok {
-		return li
-	}
-	li := int32(len(m.lkind))
-	m.linkIdx[k] = li
-	m.lkind = append(m.lkind, l.Kind)
-	m.lbytes = append(m.lbytes, 0)
-	m.lmsgs = append(m.lmsgs, 0)
-	m.linkBusy = append(m.linkBusy, 0)
-	return li
-}
-
 // Features computes the candidate's feature vector (FeatureNames
 // order, all terms in picoseconds except the leading constant).
 // places must be a valid placement for the trace's ranks on the
@@ -533,13 +473,22 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 			pe.links = nil
 			continue
 		}
-		re := m.route(src.Node, dst.Node)
-		pe.rdvT = int64(re.rdvExtra)
-		pe.deliv = int64(re.fabLat) + o1
+		rt := m.net.Route(src.Node, dst.Node)
+		if k := m.net.LinkCount(); k > len(m.lbytes) {
+			// The route's derivation assigned new link ids. Ids depend on
+			// derivation history, but they are identity keys only:
+			// accumulation and summation follow the canonical pair
+			// order, so prices do not.
+			m.lbytes = append(m.lbytes, make([]float64, k-len(m.lbytes))...)
+			m.lmsgs = append(m.lmsgs, make([]float64, k-len(m.lmsgs))...)
+			m.linkBusy = append(m.linkBusy, make([]int64, k-len(m.linkBusy))...)
+		}
+		pe.rdvT = int64(rt.RendezvousExtra)
+		pe.deliv = int64(rt.FabricLatency) + o1
 		pe.stream = psPerByte(m.prof.PairBandwidth(src.Core, dst.Core))
-		pe.links = re.links
+		pe.links = rt.Links
 		b, msgs := float64(p.Bytes), float64(p.Msgs)
-		for _, li := range re.links {
+		for _, li := range rt.Links {
 			if m.lmsgs[li] == 0 {
 				m.ltouch = append(m.ltouch, li)
 			}
@@ -745,7 +694,7 @@ func (m *Model) features(places []transport.Endpoint) *[NumFeatures]float64 {
 				rho = maxRho
 			}
 			w := busy * rho / (1 - rho) // n * S * rho/(1-rho), S = busy/n
-			if m.lkind[li] == fabric.LinkUplink {
+			if m.net.Link(li).Kind == fabric.LinkUplink {
 				waitUp += w
 			} else {
 				waitOther += w

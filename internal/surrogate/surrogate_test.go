@@ -106,6 +106,55 @@ func TestPriceDeterministicAcrossClonesAndCalls(t *testing.T) {
 	}
 }
 
+// TestPriceIndependentOfRouteDerivationOrder pins that link ids — which
+// the model's transport net assigns in route-derivation order — are
+// identity keys only: on every topology, each candidate's feature
+// vector and price are bit-identical on a fresh model, where the
+// candidate's own pairs derive every route, and on a model whose net
+// derived its routes for other candidates first, in reverse order.
+func TestPriceIndependentOfRouteDerivationOrder(t *testing.T) {
+	tr := testTrace(t)
+	for _, name := range fabric.Topologies() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			fab, err := fabric.NewTopologyScaled(name, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cands [][]transport.Endpoint
+			for _, b := range basePlacements(fab, tr.Meta.Ranks) {
+				cands = append(cands, b, perturb(b, 7, 9))
+			}
+			warm, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer warm.Close()
+			for i := len(cands) - 1; i >= 0; i-- {
+				warm.Price(perturb(cands[i], 100+int64(i), 20))
+			}
+			for i := len(cands) - 1; i >= 0; i-- {
+				fresh, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantP := fresh.Features(cands[i]), fresh.Price(cands[i])
+				fresh.Close()
+				got, gotP := warm.Features(cands[i]), warm.Price(cands[i])
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("candidate %d feature %s: %v on the warm model, %v on a fresh one",
+							i, surrogate.FeatureNames[k], got[k], want[k])
+					}
+				}
+				if gotP != wantP {
+					t.Fatalf("candidate %d priced %v on the warm model, %v on a fresh one", i, gotP, wantP)
+				}
+			}
+		})
+	}
+}
+
 // TestPriceSpreadsCandidates: an uncalibrated model already orders
 // the baselines the way the DES does (packed keeps the wavefront's
 // neighbor exchanges on-node; strided pays the fabric for everything),

@@ -64,11 +64,12 @@ type Evaluator struct {
 	match   []replayMsg
 	matchFn []func(replayMsg) bool
 	// pairs caches the transport PairPath per directed rank pair
-	// (src*ranks+dst), cleared at each Evaluate (the placement decides
-	// the node pair behind a rank pair). It drops even the transport's
-	// pair-cache map lookup from the per-message cost; nil for traces
-	// too wide for a dense table, where sends fall back to Transfer.
-	pairs []*transport.PairPath
+	// (src*ranks+dst) by value — the zero value is unresolved — and is
+	// cleared at each Evaluate (the placement decides the node pair
+	// behind a rank pair). It drops even the transport's route-cache
+	// lookup from the per-message cost; nil for traces too wide for a
+	// dense table, where each send resolves its PairPath afresh.
+	pairs []transport.PairPath
 
 	// Per-evaluation state the walkers read.
 	places    []transport.Endpoint
@@ -199,10 +200,10 @@ func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 	}
 
 	// A dense rank-pair path table is only worth holding for realistic
-	// rank counts; beyond the bound the walkers use the transport's own
-	// pair-cache map.
+	// rank counts; beyond the bound each send resolves its route from
+	// the transport's route cache.
 	if ranks*ranks <= 1<<22 {
-		e.pairs = make([]*transport.PairPath, ranks*ranks)
+		e.pairs = make([]transport.PairPath, ranks*ranks)
 	}
 
 	// One daemon walker proc per rank, spawned once: it walks the
@@ -233,13 +234,13 @@ func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 				mt.SendStart = e.eng.Now()
 			}
 			src, dst := e.places[rank], e.places[o.peer]
-			var pp *transport.PairPath
+			var pp transport.PairPath
 			if e.pairs == nil {
 				pp = e.net.PairPath(src.Node, dst.Node)
 			} else {
 				pi := rank*len(e.places) + int(o.peer)
 				pp = e.pairs[pi]
-				if pp == nil {
+				if pp == (transport.PairPath{}) {
 					pp = e.net.PairPath(src.Node, dst.Node)
 					e.pairs[pi] = pp
 				}

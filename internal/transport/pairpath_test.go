@@ -32,11 +32,11 @@ func pairSample() [][2]fabric.NodeID {
 
 // TestPairPathAdmissionOrderPerTopology pins, for every registered
 // topology, the contract internal/surrogate folds offered load over:
-// AdmissionLinks returns exactly the fabric route minus the node-port
-// cables, sorted ascending by Link.Key() — the global acquisition order
-// Pending.admit takes them in. A route-cache refactor that reorders or
-// re-members the admission set would silently skew the analytic model;
-// this test makes it loud.
+// the route view's Links resolve to exactly the fabric route minus the
+// node-port cables, sorted ascending by Link.Key() — the global
+// acquisition order Pending.admit takes them in. A route-cache refactor
+// that reorders or re-members the admission set would silently skew the
+// analytic model; this test makes it loud.
 func TestPairPathAdmissionOrderPerTopology(t *testing.T) {
 	for _, name := range fabric.Topologies() {
 		name := name
@@ -47,7 +47,7 @@ func TestPairPathAdmissionOrderPerTopology(t *testing.T) {
 			net := New(eng, fab, ib.OpenMPI(), Congested())
 			for _, pr := range pairSample() {
 				src, dst := pr[0], pr[1]
-				pp := net.PairPath(src, dst)
+				rt := net.Route(src, dst)
 				route := fab.Route(src, dst)
 
 				// Membership: the admission set is the route's
@@ -62,7 +62,10 @@ func TestPairPathAdmissionOrderPerTopology(t *testing.T) {
 					}
 					want[l.Key()] = l
 				}
-				got := pp.AdmissionLinks(nil)
+				var got []fabric.Link
+				for _, id := range rt.Links {
+					got = append(got, net.Link(id))
+				}
 				if len(got) != len(want) {
 					t.Fatalf("%s -> %s: %d admission links, route has %d interior links",
 						src, dst, len(got), len(want))
@@ -88,18 +91,18 @@ func TestPairPathAdmissionOrderPerTopology(t *testing.T) {
 					}
 				}
 
-				// The buf form appends.
-				pre := []fabric.Link{route[0]}
-				ext := pp.AdmissionLinks(pre)
-				if len(ext) != 1+len(got) || ext[0] != route[0] {
-					t.Fatalf("%s -> %s: AdmissionLinks did not append to buf", src, dst)
+				// The view aliases the arena read-only: an append by
+				// the caller must copy, never overwrite the next route.
+				if cap(rt.Links) != len(rt.Links) {
+					t.Fatalf("%s -> %s: route view has spare capacity %d into the arena",
+						src, dst, cap(rt.Links)-len(rt.Links))
 				}
 			}
 		})
 	}
 }
 
-// TestPairPathTimingAccessorsPerTopology pins the exported latency
+// TestPairPathTimingAccessorsPerTopology pins the route view's latency
 // decomposition against the fabric's own hop count and the profile
 // arithmetic the transfer path charges.
 func TestPairPathTimingAccessorsPerTopology(t *testing.T) {
@@ -113,15 +116,15 @@ func TestPairPathTimingAccessorsPerTopology(t *testing.T) {
 			net := New(eng, fab, prof, Congested())
 			for _, pr := range pairSample() {
 				src, dst := pr[0], pr[1]
-				pp := net.PairPath(src, dst)
-				if want := fab.Hops(src, dst); pp.Hops() != want {
-					t.Errorf("%s -> %s: Hops %d, fabric says %d", src, dst, pp.Hops(), want)
+				rt := net.Route(src, dst)
+				if want := fab.Hops(src, dst); rt.Hops != want {
+					t.Errorf("%s -> %s: Hops %d, fabric says %d", src, dst, rt.Hops, want)
 				}
-				if want := units.Time(pp.Hops()) * prof.HopLatency; pp.FabricLatency() != want {
-					t.Errorf("%s -> %s: FabricLatency %v, want %v", src, dst, pp.FabricLatency(), want)
+				if want := units.Time(rt.Hops) * prof.HopLatency; rt.FabricLatency != want {
+					t.Errorf("%s -> %s: FabricLatency %v, want %v", src, dst, rt.FabricLatency, want)
 				}
-				if want := 2 * (2*prof.PerSideOverhead + pp.FabricLatency()); pp.RendezvousExtra() != want {
-					t.Errorf("%s -> %s: RendezvousExtra %v, want %v", src, dst, pp.RendezvousExtra(), want)
+				if want := 2 * (2*prof.PerSideOverhead + rt.FabricLatency); rt.RendezvousExtra != want {
+					t.Errorf("%s -> %s: RendezvousExtra %v, want %v", src, dst, rt.RendezvousExtra, want)
 				}
 			}
 		})
@@ -135,11 +138,11 @@ func TestPairPathAdmissionEmptyWhenCongestionOff(t *testing.T) {
 	eng := sim.NewEngine()
 	defer eng.Close()
 	net := New(eng, fabric.NewScaled(2), ib.OpenMPI(), Policy{})
-	pp := net.PairPath(fabric.NodeID{CU: 0, Node: 0}, fabric.NodeID{CU: 1, Node: 100})
-	if ls := pp.AdmissionLinks(nil); len(ls) != 0 {
-		t.Errorf("congestion-off admission set: %v, want empty", ls)
+	rt := net.Route(fabric.NodeID{CU: 0, Node: 0}, fabric.NodeID{CU: 1, Node: 100})
+	if len(rt.Links) != 0 || net.LinkCount() != 0 {
+		t.Errorf("congestion-off admission set: %v (%d link ids), want empty", rt.Links, net.LinkCount())
 	}
-	if pp.Hops() <= 0 || pp.FabricLatency() <= 0 {
-		t.Errorf("timing accessors empty off-path: hops %d lat %v", pp.Hops(), pp.FabricLatency())
+	if rt.Hops <= 0 || rt.FabricLatency <= 0 {
+		t.Errorf("timing accessors empty off-path: hops %d lat %v", rt.Hops, rt.FabricLatency)
 	}
 }

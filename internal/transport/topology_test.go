@@ -40,14 +40,14 @@ func TestRouteCacheSizedByTopology(t *testing.T) {
 	// the 408 crossbar rows of the fat-tree geometry.
 	src := fabric.NodeID{CU: params.NumCUs - 1, Node: params.NodesPerCU - 1}
 	dst := fabric.NodeID{CU: 0, Node: 0}
-	xp := net.xpath(src, dst)
+	rt := net.Route(src, dst)
 	want := units.Time(fab.Hops(src, dst)) * ib.OpenMPI().HopLatency
-	if xp.fabLat != want {
-		t.Errorf("torus xpath fabric latency %v, want %v", xp.fabLat, want)
+	if rt.FabricLatency != want {
+		t.Errorf("torus route fabric latency %v, want %v", rt.FabricLatency, want)
 	}
-	if len(xp.states) != fab.Hops(src, dst)-1 {
-		t.Errorf("torus xpath carries %d interior links, want %d (one per router-to-router cable)",
-			len(xp.states), fab.Hops(src, dst)-1)
+	if len(rt.Links) != fab.Hops(src, dst)-1 {
+		t.Errorf("torus route carries %d interior links, want %d (one per router-to-router cable)",
+			len(rt.Links), fab.Hops(src, dst)-1)
 	}
 }
 
@@ -66,9 +66,9 @@ func TestCacheHitNeverCrossesTopologies(t *testing.T) {
 		fab := topoSystem(t, name, 2)
 		eng := sim.NewEngine()
 		net := New(eng, fab, prof, Congested())
-		xp := net.xpath(src, dst)
-		if want := units.Time(fab.Hops(src, dst)) * prof.HopLatency; xp.fabLat != want {
-			t.Errorf("%s: cached fabric latency %v, want the owning fabric's %v", name, xp.fabLat, want)
+		rt := net.Route(src, dst)
+		if want := units.Time(fab.Hops(src, dst)) * prof.HopLatency; rt.FabricLatency != want {
+			t.Errorf("%s: cached fabric latency %v, want the owning fabric's %v", name, rt.FabricLatency, want)
 		}
 		// Every cached interior link must be a link of this topology's
 		// own route — not a path leaked from another fabric's geometry.
@@ -76,12 +76,12 @@ func TestCacheHitNeverCrossesTopologies(t *testing.T) {
 		for _, l := range fab.Route(src, dst) {
 			route[l.Key()] = true
 		}
-		for _, st := range xp.states {
-			if !route[st.link.Key()] {
-				t.Errorf("%s: cache holds link %v that is not on this topology's route", name, st.link)
+		for _, id := range rt.Links {
+			if l := net.Link(id); !route[l.Key()] {
+				t.Errorf("%s: cache holds link %v that is not on this topology's route", name, l)
 			}
 		}
-		seen[name] = xp.fabLat
+		seen[name] = rt.FabricLatency
 		eng.Close()
 	}
 	if seen["fattree"] == seen["torus"] {

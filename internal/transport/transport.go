@@ -33,6 +33,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"roadrunner/internal/fabric"
@@ -44,6 +45,12 @@ import (
 // unlimited is the effective capacity of an infinite-capacity link
 // channel (admission never blocks, occupancy is still tracked).
 const unlimited = 1 << 30
+
+// arenaChunkBits sizes the route cache's link-id arena chunks (16K ids,
+// 64 KB). The arena grows a whole chunk at a time and never copies, so
+// a full-machine table is allocated once instead of re-copied on every
+// growth, and a route view stays valid as later routes derive.
+const arenaChunkBits = 14
 
 // Policy configures link-level congestion.
 type Policy struct {
@@ -83,45 +90,55 @@ type linkState struct {
 	bytes units.Size
 }
 
-// xbarPathInlineLinks is the most fabric-interior (admission-controlled)
-// links a fat-tree route carries: cross-side, different crossbar index —
-// uplink up, four switch-internal segments, uplink down. Node-port
-// cables are excluded from admission (see Pending.admit), and in-CU
-// routes carry at most two spine segments. Longer-diameter topologies
-// (the torus) spill past the inline array into a heap slice, paid once
-// per cache entry at derive time.
-const xbarPathInlineLinks = 6
-
 // xbarPath is the cached routing work shared by every source node of one
-// cache row toward one destination node: the hop-latency term, the
-// rendezvous round trip, and — with congestion enabled — the route's
-// fabric-interior link states already resolved and sorted into the
-// global acquisition order. Rows are keyed by the topology's CacheKey,
-// whose contract (two sources with one key share every route interior)
-// is exactly what makes the shared entry exact: the fat-tree keys by
-// line crossbar — 408 crossbars x 3,060 nodes ≈ 1.2M value-typed
-// entries in dense rows, where the former per-pair map held 9.4M heap
-// entries whose GC footprint dominated full-machine sweeps — while the
-// per-node-router torus keys by node.
+// cache row toward one destination node. It is pointer-free and 8 bytes:
+// the hop count (the latency terms are recomputed from it with the same
+// integer arithmetic the transfer path charges), a derived flag, and the
+// offset and length of the route's admission-controlled link ids in the
+// net's arena, sorted into the global acquisition order. Rows are keyed
+// by the topology's CacheKey, whose contract (two sources with one key
+// share every route interior) is exactly what makes the shared entry
+// exact: the fat-tree keys by line crossbar — 408 crossbars x 3,060
+// nodes ≈ 1.2M entries, 24 KB per row and 10 MB for the whole table,
+// which the garbage collector never scans — while the per-node-router
+// torus keys by node (3,060 rows).
 type xbarPath struct {
-	fabLat   units.Time // hop count x hop latency
-	rdvExtra units.Time // rendezvous round trip above the eager threshold
-	hops     int        // crossbar traversals on the route (len(route)-1)
-	derived  bool
-	// states is the route's admission-controlled links in acquisition
-	// order, backed by inline until a route outgrows it.
-	states []*linkState
-	inline [xbarPathInlineLinks]*linkState
+	off     uint32 // arena position of the first id: chunk<<arenaChunkBits | index
+	hops    uint8  // crossbar traversals on the route (len(route)-1)
+	nlinks  uint8  // admission-controlled links on the route
+	derived bool
 }
 
-// PairPath is the resolved routing work for one directed (src, dst) node
-// pair: the shared crossbar-granular route entry plus the endpoint
-// adapters. Callers that key transfers by an index of their own (the
-// replay evaluator holds one per rank pair) resolve it once and skip
-// every per-message lookup.
-type PairPath struct {
-	xp       *xbarPath
-	src, dst *ib.HCA // endpoint adapters
+// PairPath is the resolved route of one directed inter-node pair, for
+// callers that key transfers by an index of their own (the replay
+// evaluator holds one per rank pair) and skip every per-message lookup.
+// It is a copy of the 8-byte route-cache entry: hold it by value, no
+// handle is allocated. The zero PairPath is unresolved.
+type PairPath struct{ xp xbarPath }
+
+// Route is the non-allocating view of one cached directed route for
+// analytic callers (internal/surrogate): the latency decomposition the
+// transfer path charges and the route's admission-controlled links.
+type Route struct {
+	// Hops is the route's crossbar traversal count (fabric.Route hops).
+	Hops int
+	// FabricLatency is the pure hop-latency term (hops x the profile's
+	// per-hop latency).
+	FabricLatency units.Time
+	// RendezvousExtra is the round trip a message above the eager
+	// threshold pays before admission: two software-overhead-plus-fabric
+	// traversals each way.
+	RendezvousExtra units.Time
+	// Links holds the admission-controlled links — the fabric-interior
+	// cables, node ports excluded — as dense link ids (Net.Link resolves
+	// one), in the exact global acquisition order Pending.admit takes
+	// them (ascending Link.Key). Empty on a congestion-off net: no link
+	// state exists to acquire. Ids depend on derivation history and are
+	// identity keys only. The slice aliases the net's append-only arena:
+	// read it, never write it; it stays valid for the net's lifetime.
+	// Analytic models that fold offered load over the route depend on
+	// this order and membership; the per-topology route tests pin both.
+	Links []int32
 }
 
 // Net is the per-engine transport instance: it owns the node HCAs and
@@ -132,11 +149,13 @@ type Net struct {
 	prof ib.Profile
 	pol  Policy
 
-	hcas   []*ib.HCA // by destination global node id, nil until used
-	links  map[uint64]*linkState
-	xpaths [][]xbarPath  // by source cache key (fabric CacheKey), rows nil until used
-	rbuf   []fabric.Link // route scratch, sized to the topology's MaxRouteLen
-	xfers  *Pending      // free list of chained-transfer state machines
+	hcas   []*ib.HCA        // by destination global node id, nil until used
+	ids    map[uint64]int32 // link Key → dense link id; nil with congestion off
+	links  []*linkState     // by dense link id
+	arena  [][]int32        // derived routes' admission link ids, fixed-size chunks
+	xpaths [][]xbarPath     // by source cache key (fabric CacheKey), rows nil until used
+	rbuf   []fabric.Link    // route scratch, sized to the topology's MaxRouteLen
+	xfers  *Pending         // free list of chained-transfer state machines
 
 	msgs int64
 	wire units.Size
@@ -146,6 +165,9 @@ type Net struct {
 func New(eng *sim.Engine, fab *fabric.System, prof ib.Profile, pol Policy) *Net {
 	if fab == nil {
 		panic("transport: nil fabric")
+	}
+	if fab.MaxRouteLen() > math.MaxUint8 {
+		panic(fmt.Sprintf("transport: routes of up to %d links overflow the route cache entry", fab.MaxRouteLen()))
 	}
 	n := &Net{
 		eng:    eng,
@@ -157,15 +179,15 @@ func New(eng *sim.Engine, fab *fabric.System, prof ib.Profile, pol Policy) *Net 
 		rbuf:   make([]fabric.Link, 0, fab.MaxRouteLen()),
 	}
 	if pol.Enabled {
-		n.links = make(map[uint64]*linkState)
+		n.ids = make(map[uint64]int32)
 	}
 	return n
 }
 
 // Reset zeroes every traffic counter — transport totals, per-link
 // occupancy and the endpoint HCA flow accounting — while keeping the
-// HCA table, the link-state map (with their sim.Resource objects) and
-// the route cache intact, so a pooled Net replays a fresh run without
+// HCA table, the link states (with their sim.Resource objects) and the
+// route cache intact, so a pooled Net replays a fresh run without
 // rebuilding any per-link state. Call it alongside sim.Engine.Reset;
 // everything must be idle (no flows streaming, no admissions held).
 func (n *Net) Reset() {
@@ -205,30 +227,39 @@ func (n *Net) Messages() int64 { return n.msgs }
 // (intra-node messages excluded).
 func (n *Net) WireBytes() units.Size { return n.wire }
 
-// state returns (creating on first use) the link's channel state.
-func (n *Net) state(l fabric.Link) *linkState {
+// Link returns the link behind a dense link id from Route.Links.
+func (n *Net) Link(id int32) fabric.Link { return n.links[id].link }
+
+// LinkCount returns how many link ids the net has assigned; every id in
+// a Route's Links is below it.
+func (n *Net) LinkCount() int { return len(n.links) }
+
+// state returns the link's dense id, creating its channel state on
+// first use.
+func (n *Net) state(l fabric.Link) int32 {
 	k := l.Key()
-	st, ok := n.links[k]
+	id, ok := n.ids[k]
 	if !ok {
 		capacity := n.pol.Channels
 		if capacity <= 0 {
 			capacity = unlimited
 		}
-		st = &linkState{link: l, res: sim.NewResource(n.eng, l.String(), capacity)}
-		n.links[k] = st
+		id = int32(len(n.links))
+		n.links = append(n.links, &linkState{link: l, res: sim.NewResource(n.eng, l.String(), capacity)})
+		n.ids[k] = id
 	}
-	return st
+	return id
 }
 
 // xpath returns (deriving on first use) the cached routing work from
-// src's cache row to dst: hop latency, rendezvous cost and — with
-// congestion on — the route's fabric-interior link states already
-// sorted into the global acquisition order. Every source node of one
-// cache key shares the entry, which the topology's CacheKey contract
-// makes exact (the node-port cable, the only per-node link, is
-// excluded from admission — see Pending.admit). The cache survives
-// Reset: link identities and hop counts are properties of the wiring,
-// not of any one run. src and dst must be distinct nodes.
+// src's cache row to dst: the hop count and — with congestion on — the
+// route's fabric-interior link ids already sorted into the global
+// acquisition order. Every source node of one cache key shares the
+// entry, which the topology's CacheKey contract makes exact (the
+// node-port cable, the only per-node link, is excluded from admission —
+// see Pending.admit). The cache survives Reset: link identities and hop
+// counts are properties of the wiring, not of any one run. src and dst
+// must be distinct nodes.
 func (n *Net) xpath(src, dst fabric.NodeID) *xbarPath {
 	key := n.fab.CacheKey(src)
 	row := n.xpaths[key]
@@ -238,34 +269,68 @@ func (n *Net) xpath(src, dst fabric.NodeID) *xbarPath {
 	}
 	xp := &row[dst.GlobalID()]
 	if !xp.derived {
-		pr := n.prof
 		route := n.fab.RouteInto(n.rbuf[:0], src, dst)
 		// len(Route) == Hops+1 for distinct nodes, pinned by the fabric
-		// route tests.
-		xp.hops = len(route) - 1
-		xp.fabLat = units.Time(xp.hops) * pr.HopLatency
-		xp.rdvExtra = 2 * (2*pr.PerSideOverhead + xp.fabLat)
+		// route tests; New bounds it by the entry's field widths.
+		xp.hops = uint8(len(route) - 1)
 		if n.pol.Enabled {
-			// Fat-tree interiors fit inline; longer routes (torus) let
-			// append spill to the heap, once per entry.
-			xp.states = xp.inline[:0]
+			c := len(n.arena) - 1
+			if c < 0 || cap(n.arena[c])-len(n.arena[c]) < len(route) {
+				n.arena = append(n.arena, make([]int32, 0, 1<<arenaChunkBits))
+				c++
+			}
+			chunk := n.arena[c]
+			pos := len(chunk)
 			for _, l := range route {
-				if l.Kind == fabric.LinkNodePort {
-					continue
+				if l.Kind != fabric.LinkNodePort {
+					chunk = append(chunk, n.state(l))
 				}
-				xp.states = append(xp.states, n.state(l))
 			}
+			n.arena[c] = chunk
 			// Insertion sort by key: short, and routes arrive near-sorted.
-			st := xp.states
-			for i := 1; i < len(st); i++ {
-				for j := i; j > 0 && st[j].link.Key() < st[j-1].link.Key(); j-- {
-					st[j], st[j-1] = st[j-1], st[j]
+			ids := chunk[pos:]
+			for i := 1; i < len(ids); i++ {
+				for j := i; j > 0 && n.links[ids[j]].link.Key() < n.links[ids[j-1]].link.Key(); j-- {
+					ids[j], ids[j-1] = ids[j-1], ids[j]
 				}
 			}
+			xp.off, xp.nlinks = uint32(c<<arenaChunkBits|pos), uint8(len(ids))
 		}
 		xp.derived = true
 	}
 	return xp
+}
+
+// fabLat is the entry's hop-latency term.
+func (n *Net) fabLat(xp xbarPath) units.Time { return units.Time(xp.hops) * n.prof.HopLatency }
+
+// rdvExtra is the entry's rendezvous round trip.
+func (n *Net) rdvExtra(xp xbarPath) units.Time {
+	return 2 * (2*n.prof.PerSideOverhead + n.fabLat(xp))
+}
+
+// admission returns the entry's admission link ids, capacity-clipped so
+// an append by a caller can never write into the arena.
+func (n *Net) admission(xp xbarPath) []int32 {
+	if xp.nlinks == 0 {
+		return nil
+	}
+	lo := xp.off & (1<<arenaChunkBits - 1)
+	hi := lo + uint32(xp.nlinks)
+	return n.arena[xp.off>>arenaChunkBits][lo:hi:hi]
+}
+
+// Route returns the view of the cached route from src to dst, deriving
+// it on first use; a derived route allocates nothing. src and dst must
+// be distinct nodes.
+func (n *Net) Route(src, dst fabric.NodeID) Route {
+	xp := *n.xpath(src, dst)
+	return Route{
+		Hops:            int(xp.hops),
+		FabricLatency:   n.fabLat(xp),
+		RendezvousExtra: n.rdvExtra(xp),
+		Links:           n.admission(xp),
+	}
 }
 
 // Transfer blocks the calling proc for the sender-visible cost of moving
@@ -283,48 +348,17 @@ func (n *Net) Transfer(p *sim.Proc, src, dst Endpoint, size units.Size, deliver 
 		n.eng.Schedule(pr.PerSideOverhead, deliver)
 		return
 	}
-	n.transferVia(p, n.xpath(src.Node, dst.Node), n.HCA(src.Node), n.HCA(dst.Node),
-		src, dst, size, deliver)
+	n.TransferVia(p, PairPath{*n.xpath(src.Node, dst.Node)}, src, dst, size, deliver)
 }
 
-// PairPath resolves the routing work for a directed inter-node pair, for
-// callers that key transfers by an index of their own (the replay
-// evaluator holds one per rank pair) and skip every per-message lookup.
-// The underlying route entry is shared crossbar-granular cache state;
-// the returned handle itself is built per call, so callers should hold
-// it rather than re-resolve per message. src and dst must be distinct
-// nodes.
-func (n *Net) PairPath(src, dst fabric.NodeID) *PairPath {
+// PairPath resolves the route of a directed inter-node pair for callers
+// that key transfers by an index of their own and skip every
+// per-message lookup. src and dst must be distinct nodes.
+func (n *Net) PairPath(src, dst fabric.NodeID) PairPath {
 	if src == dst {
 		panic("transport: PairPath of an intra-node pair")
 	}
-	return &PairPath{xp: n.xpath(src, dst), src: n.HCA(src), dst: n.HCA(dst)}
-}
-
-// Hops returns the route's crossbar traversal count (fabric.Route hops).
-func (pp *PairPath) Hops() int { return pp.xp.hops }
-
-// FabricLatency returns the route's pure hop-latency term (hops x the
-// profile's per-hop latency).
-func (pp *PairPath) FabricLatency() units.Time { return pp.xp.fabLat }
-
-// RendezvousExtra returns the rendezvous round-trip cost a message above
-// the eager threshold pays before admission: two software-overhead-plus-
-// fabric traversals each way.
-func (pp *PairPath) RendezvousExtra() units.Time { return pp.xp.rdvExtra }
-
-// AdmissionLinks appends the route's admission-controlled links — the
-// fabric-interior cables, node ports excluded — to buf in the exact
-// global acquisition order Pending.admit takes them (ascending Link.Key),
-// and returns the extended slice. On a congestion-off net the admission
-// set is empty: no link state exists to acquire. Analytic models that
-// fold offered load over the route (internal/surrogate) depend on this
-// order and membership; the per-topology PairPath tests pin both.
-func (pp *PairPath) AdmissionLinks(buf []fabric.Link) []fabric.Link {
-	for _, st := range pp.xp.states {
-		buf = append(buf, st.link)
-	}
-	return buf
+	return PairPath{*n.xpath(src, dst)}
 }
 
 // TransferVia is Transfer for an inter-node pair whose PairPath the
@@ -340,23 +374,16 @@ func (pp *PairPath) AdmissionLinks(buf []fabric.Link) []fabric.Link {
 // would), so the calendar — and therefore every simulated result — is
 // bit-identical to the multi-sleep shape while costing one proc
 // park/resume instead of one per interval.
-func (n *Net) TransferVia(p *sim.Proc, pp *PairPath, src, dst Endpoint, size units.Size, deliver func()) {
-	n.transferVia(p, pp.xp, pp.src, pp.dst, src, dst, size, deliver)
-}
-
-// transferVia is TransferVia on the resolved route entry and endpoint
-// adapters — the shape the internal hot path uses so Transfer never
-// materializes a PairPath handle.
-func (n *Net) transferVia(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint, size units.Size, deliver func()) {
+func (n *Net) TransferVia(p *sim.Proc, pp PairPath, src, dst Endpoint, size units.Size, deliver func()) {
 	if size <= 0 {
 		n.msgs++
 		n.wire += size
 		pr := n.prof
 		p.Sleep(pr.PerSideOverhead)
-		n.eng.Schedule(xp.fabLat+pr.PerSideOverhead, deliver)
+		n.eng.Schedule(n.fabLat(pp.xp)+pr.PerSideOverhead, deliver)
 		return
 	}
-	x := n.startTransfer(p, xp, hsrc, hdst, src, dst, size, deliver)
+	x := n.StartTransfer(p, pp, src, dst, size, deliver)
 	p.Park("transfer")
 	// The final chunk's completion woke us.
 	n.FinishTransfer(x)
@@ -369,19 +396,15 @@ func (n *Net) transferVia(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, ds
 // caller must park p (with no wake pending); the chain wakes it when
 // the stream completes, after which the caller runs FinishTransfer.
 // size must be positive.
-func (n *Net) StartTransfer(p *sim.Proc, pp *PairPath, src, dst Endpoint, size units.Size, deliver func()) *Pending {
-	return n.startTransfer(p, pp.xp, pp.src, pp.dst, src, dst, size, deliver)
-}
-
-func (n *Net) startTransfer(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, dst Endpoint, size units.Size, deliver func()) *Pending {
+func (n *Net) StartTransfer(p *sim.Proc, pp PairPath, src, dst Endpoint, size units.Size, deliver func()) *Pending {
 	n.msgs++
 	pr := n.prof
 	n.wire += size
 	x := n.getXfer()
 	x.p = p
-	x.xp = xp
-	x.hsrc = hsrc
-	x.hdst = hdst
+	x.xp = pp.xp
+	x.hsrc = n.HCA(src.Node)
+	x.hdst = n.HCA(dst.Node)
 	x.deliver = deliver
 	x.pairBW = pr.PairBandwidth(src.Core, dst.Core)
 	x.size = size
@@ -393,7 +416,7 @@ func (n *Net) startTransfer(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, 
 	// the same instant with one calendar event fewer per large message.
 	delay := pr.PerSideOverhead
 	if size > pr.EagerThreshold {
-		delay += xp.rdvExtra
+		delay += n.rdvExtra(pp.xp)
 	}
 	n.eng.Schedule(delay, x.stepFn)
 	return x
@@ -405,8 +428,10 @@ func (n *Net) startTransfer(p *sim.Proc, xp *xbarPath, hsrc, hdst *ib.HCA, src, 
 // woken proc, then the handle is recycled.
 func (n *Net) FinishTransfer(x *Pending) {
 	ib.EndBetween(x.hsrc, x.hdst)
-	release(x.xp.states)
-	n.eng.Schedule(x.xp.fabLat+n.prof.PerSideOverhead, x.deliver)
+	for _, id := range n.admission(x.xp) {
+		n.links[id].res.Release(1)
+	}
+	n.eng.Schedule(n.fabLat(x.xp)+n.prof.PerSideOverhead, x.deliver)
 	n.putXfer(x)
 }
 
@@ -422,7 +447,7 @@ const (
 type Pending struct {
 	n          *Net
 	p          *sim.Proc
-	xp         *xbarPath
+	xp         xbarPath
 	hsrc, hdst *ib.HCA
 	deliver    func()
 	pairBW     units.Bandwidth
@@ -453,15 +478,15 @@ func (x *Pending) step() {
 // granted link's accounting and re-enters here for the rest of the
 // route), on the same FIFO and wake events a blocked proc would use.
 //
-// Node-port cables are routed but not admission-controlled (path drops
+// Node-port cables are routed but not admission-controlled (xpath drops
 // them): that wire is the adapter's own port, whose sharing the ib HCA
 // flow model already charges (multi-flow serialization, duplex caps).
 // Gating it here too would bill the same copper twice; the transport
 // owns the crossbar-to-crossbar tiers the HCA cannot see.
 func (x *Pending) admit() {
-	states := x.xp.states
-	for x.linkIdx < len(states) {
-		st := states[x.linkIdx]
+	ids := x.n.admission(x.xp)
+	for x.linkIdx < len(ids) {
+		st := x.n.links[ids[x.linkIdx]]
 		if !st.res.AcquireFn(1, x.contFn) {
 			return // queued; contFn continues from this link
 		}
@@ -495,7 +520,7 @@ func (n *Net) getXfer() *Pending {
 		x = &Pending{n: n}
 		x.stepFn = x.step
 		x.contFn = func() {
-			st := x.xp.states[x.linkIdx]
+			st := n.links[n.admission(x.xp)[x.linkIdx]]
 			st.msgs++
 			st.bytes += x.size
 			x.linkIdx++
@@ -511,19 +536,11 @@ func (n *Net) getXfer() *Pending {
 // putXfer returns a finished transfer to the pool.
 func (n *Net) putXfer(x *Pending) {
 	x.p = nil
-	x.xp = nil
 	x.hsrc = nil
 	x.hdst = nil
 	x.deliver = nil
 	x.free = n.xfers
 	n.xfers = x
-}
-
-// release returns every held channel.
-func release(states []*linkState) {
-	for _, st := range states {
-		st.res.Release(1)
-	}
 }
 
 // LinkUsage reports one link channel's traffic and occupancy.
@@ -597,7 +614,7 @@ func Hotter(a, b LinkUsage) bool {
 // this run (possible on a pooled Net, where Reset keeps earlier runs'
 // link states alive with zeroed counters) do not appear in the census.
 func (n *Net) Census(top int) *Census {
-	if n == nil || n.links == nil {
+	if n == nil || !n.pol.Enabled {
 		return nil
 	}
 	if top < 0 {
