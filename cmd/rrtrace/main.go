@@ -221,10 +221,14 @@ func optimize(args []string) int {
 		fmt.Fprintf(os.Stderr, "rrtrace optimize: -congestion must be on or off, got %q\n", *congestion)
 		return 2
 	}
-	starts := []placement.Start{
-		{Name: "block", Places: toEndpoints(collectives.BlockPlacement(fab, tr.Meta.Ranks, 1))},
-		{Name: "strided", Places: toEndpoints(collectives.StridedPlacement(fab, tr.Meta.Ranks, *stride, 1))},
-		{Name: "packed", Places: toEndpoints(collectives.PackedPlacement(fab, tr.Meta.Ranks, *perNode))},
+	base, err := baselines(fab, tr.Meta.Ranks, *stride, *perNode, 1, baselineNames...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rrtrace optimize: %v\n", err)
+		return 2
+	}
+	starts := make([]placement.Start, len(base))
+	for i, places := range base {
+		starts[i] = placement.Start{Name: baselineNames[i], Places: places}
 	}
 	cfg := placement.Config{
 		Trace: tr,
@@ -318,13 +322,51 @@ func topoFabric(name string) (*fabric.System, error) {
 	return fabric.NewTopology(name)
 }
 
-// toEndpoints converts collective placements to transport endpoints.
-func toEndpoints(places []collectives.Placement) []transport.Endpoint {
-	out := make([]transport.Endpoint, len(places))
-	for i, p := range places {
-		out[i] = transport.Endpoint{Node: p.Node, Core: p.Core}
+// baselineNames are the generated placements, in report order.
+var baselineNames = []string{"block", "strided", "packed"}
+
+// baselines builds the named rank→node mappings of a ranks-wide trace
+// on fab. The placement flags and the rank count are checked against
+// the fabric first, so user input never reaches a collectives generator
+// outside its domain (those panic on a bad stride, per-node count or an
+// oversized communicator).
+func baselines(fab *fabric.System, ranks, stride, perNode, core int, kinds ...string) ([][]transport.Endpoint, error) {
+	if stride < 1 {
+		return nil, fmt.Errorf("-stride %d below 1", stride)
 	}
-	return out
+	if perNode < 1 || perNode > 4 {
+		return nil, fmt.Errorf("-per-node %d outside 1..4", perNode)
+	}
+	if core < 0 || core > 3 {
+		return nil, fmt.Errorf("-core %d outside 0..3", core)
+	}
+	out := make([][]transport.Endpoint, len(kinds))
+	for i, kind := range kinds {
+		nodes := ranks
+		if kind == "packed" {
+			nodes = (ranks + perNode - 1) / perNode
+		}
+		if nodes > fab.Nodes() {
+			return nil, fmt.Errorf("%s placement of %d ranks needs %d nodes, fabric has %d",
+				kind, ranks, nodes, fab.Nodes())
+		}
+		var places []collectives.Placement
+		switch kind {
+		case "block":
+			places = collectives.BlockPlacement(fab, ranks, core)
+		case "strided":
+			places = collectives.StridedPlacement(fab, ranks, stride, core)
+		case "packed":
+			places = collectives.PackedPlacement(fab, ranks, perNode)
+		default:
+			return nil, fmt.Errorf("unknown placement %q", kind)
+		}
+		out[i] = make([]transport.Endpoint, len(places))
+		for r, p := range places {
+			out[i][r] = transport.Endpoint{Node: p.Node, Core: p.Core}
+		}
+	}
+	return out, nil
 }
 
 func replay(args []string) int {
@@ -356,26 +398,22 @@ func replay(args []string) int {
 		fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
 		return 2
 	}
+	kinds := []string{*placement}
 	if *placement == "all" {
-		return replayAll(tr, fab, *stride, *perNode, *core, *congestion, *skipCompute)
+		kinds = baselineNames
 	}
-	var places []collectives.Placement
-	switch *placement {
-	case "block":
-		places = collectives.BlockPlacement(fab, tr.Meta.Ranks, *core)
-	case "strided":
-		places = collectives.StridedPlacement(fab, tr.Meta.Ranks, *stride, *core)
-	case "packed":
-		places = collectives.PackedPlacement(fab, tr.Meta.Ranks, *perNode)
-	default:
-		fmt.Fprintf(os.Stderr, "rrtrace replay: unknown placement %q\n", *placement)
+	places, err := baselines(fab, tr.Meta.Ranks, *stride, *perNode, *core, kinds...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rrtrace replay: %v\n", err)
 		return 2
 	}
-	endpoints := toEndpoints(places)
+	if *placement == "all" {
+		return replayAll(tr, places, fab, *congestion, *skipCompute)
+	}
 	cfg := trace.ReplayConfig{
 		Fabric:      fab,
 		Profile:     ib.OpenMPI(),
-		Places:      endpoints,
+		Places:      places[0],
 		SkipCompute: *skipCompute,
 		Observe:     trace.ObserveAll,
 	}
@@ -429,14 +467,8 @@ func replay(args []string) int {
 // placements on a GOMAXPROCS pool of warm evaluators: each placement is
 // an independent simulation, with results byte-identical to three
 // serial replays.
-func replayAll(tr *trace.Trace, fab *fabric.System, stride, perNode, core int,
+func replayAll(tr *trace.Trace, placements [][]transport.Endpoint, fab *fabric.System,
 	congestion string, skipCompute bool) int {
-	names := []string{"block", "strided", "packed"}
-	placements := [][]transport.Endpoint{
-		toEndpoints(collectives.BlockPlacement(fab, tr.Meta.Ranks, core)),
-		toEndpoints(collectives.StridedPlacement(fab, tr.Meta.Ranks, stride, core)),
-		toEndpoints(collectives.PackedPlacement(fab, tr.Meta.Ranks, perNode)),
-	}
 	cfg := trace.ReplayConfig{
 		Fabric:      fab,
 		Profile:     ib.OpenMPI(),
@@ -470,7 +502,7 @@ func replayAll(tr *trace.Trace, fab *fabric.System, stride, perNode, core int,
 		tr.Meta.Name, len(placements), congestion, wall.Round(time.Millisecond))
 	for i, res := range results {
 		fmt.Printf("  %-8s %v simulated, %d messages, %v on the wire, %d events\n",
-			names[i], res.Time, res.Messages, res.WireBytes, res.EngineStats.Dispatched)
+			baselineNames[i], res.Time, res.Messages, res.WireBytes, res.EngineStats.Dispatched)
 		if c := res.Congestion; c != nil {
 			fmt.Printf("           census: %d links carried flows, %d queued, %v total wait\n",
 				c.Links, c.Queued, c.TotalWait)

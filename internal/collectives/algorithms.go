@@ -117,8 +117,7 @@ func barrierRecursiveDoubling(c *comm, p *sim.Proc, r int, _ units.Size) []float
 	for k, dist := 0, 1; dist < n; k, dist = k+1, dist*2 {
 		dst := (r + dist) % n
 		src := (r - dist + n) % n
-		c.send(p, r, dst, tagStep+k, 0, nil)
-		c.recv(p, r, src, tagStep+k)
+		c.sendrecv(p, r, dst, tagStep+k, 0, nil, src, tagStep+k)
 	}
 	return nil
 }
@@ -169,8 +168,7 @@ func allreduceRecursiveDoubling(c *comm, p *sim.Proc, r int, size units.Size) []
 	if newrank >= 0 {
 		for step, mask := 0, 1; mask < pof2; step, mask = step+1, mask*2 {
 			partner := realRank(newrank^mask, rem)
-			c.send(p, r, partner, tagStep+step, size, cloneSlice(vec))
-			addInto(vec, c.recv(p, r, partner, tagStep+step))
+			addInto(vec, c.sendrecv(p, r, partner, tagStep+step, size, cloneSlice(vec), partner, tagStep+step))
 		}
 	}
 	return foldUp(c, p, r, size, vec, rem)
@@ -215,9 +213,8 @@ func allreduceRabenseifner(c *comm, p *sim.Proc, r int, size units.Size) []float
 				sendLo, sendHi, sendV = lo, mid, vmid-vlo
 				recvLo = mid
 			}
-			c.send(p, r, partner, tagStep+step, sizeFrac(size, sendV, pof2),
-				cloneSlice(vec[sendLo:sendHi]))
-			addInto(vec[recvLo:], c.recv(p, r, partner, tagStep+step))
+			addInto(vec[recvLo:], c.sendrecv(p, r, partner, tagStep+step, sizeFrac(size, sendV, pof2),
+				cloneSlice(vec[sendLo:sendHi]), partner, tagStep+step))
 			stack = append(stack, level{lo, mid, hi, vlo, vmid, vhi, keepLow})
 			if keepLow {
 				hi, vhi = mid, vmid
@@ -238,9 +235,8 @@ func allreduceRabenseifner(c *comm, p *sim.Proc, r int, size units.Size) []float
 				ownLo, ownHi, ownV = lv.mid, lv.hi, lv.vhi-lv.vmid
 				otherLo = lv.lo
 			}
-			c.send(p, r, partner, tagGather+i, sizeFrac(size, ownV, pof2),
-				cloneSlice(vec[ownLo:ownHi]))
-			copy(vec[otherLo:], c.recv(p, r, partner, tagGather+i))
+			copy(vec[otherLo:], c.sendrecv(p, r, partner, tagGather+i, sizeFrac(size, ownV, pof2),
+				cloneSlice(vec[ownLo:ownHi]), partner, tagGather+i))
 		}
 	}
 	return foldUp(c, p, r, size, vec, rem)
@@ -266,15 +262,13 @@ func allreduceRing(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
 	for s := 0; s < n-1; s++ {
 		sendSeg := ((r-s)%n + n) % n
 		recvSeg := ((r-s-1)%n + n) % n
-		c.send(p, r, next, tagStep+s, segSize, []float64{vec[sendSeg]})
-		vec[recvSeg] += c.recv(p, r, prev, tagStep+s)[0]
+		vec[recvSeg] += c.sendrecv(p, r, next, tagStep+s, segSize, []float64{vec[sendSeg]}, prev, tagStep+s)[0]
 	}
 	// Allgather: circulate the finished segments.
 	for s := 0; s < n-1; s++ {
 		sendSeg := ((r+1-s)%n + n) % n
 		recvSeg := ((r-s)%n + n) % n
-		c.send(p, r, next, tagGather+s, segSize, []float64{vec[sendSeg]})
-		vec[recvSeg] = c.recv(p, r, prev, tagGather+s)[0]
+		vec[recvSeg] = c.sendrecv(p, r, next, tagGather+s, segSize, []float64{vec[sendSeg]}, prev, tagGather+s)[0]
 	}
 	return vec
 }
@@ -292,8 +286,7 @@ func allgatherRing(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
 	for s := 0; s < n-1; s++ {
 		sendSeg := ((r-s)%n + n) % n
 		recvSeg := ((r-s-1)%n + n) % n
-		c.send(p, r, next, tagStep+s, size, []float64{vec[sendSeg]})
-		vec[recvSeg] = c.recv(p, r, prev, tagStep+s)[0]
+		vec[recvSeg] = c.sendrecv(p, r, next, tagStep+s, size, []float64{vec[sendSeg]}, prev, tagStep+s)[0]
 	}
 	return vec
 }
@@ -309,8 +302,7 @@ func alltoallPairwise(c *comm, p *sim.Proc, r int, size units.Size) []float64 {
 	for k := 1; k < n; k++ {
 		dst := (r + k) % n
 		src := (r - k + n) % n
-		c.send(p, r, dst, tagStep+k, size, []float64{contribution(r, dst)})
-		out[src] = c.recv(p, r, src, tagStep+k)[0]
+		out[src] = c.sendrecv(p, r, dst, tagStep+k, size, []float64{contribution(r, dst)}, src, tagStep+k)[0]
 	}
 	return out
 }

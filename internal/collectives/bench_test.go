@@ -83,3 +83,11 @@ func BenchmarkCollectiveAlltoallCongested180(b *testing.B) {
 func BenchmarkCollectiveAlltoallCongested360(b *testing.B) {
 	benchCongested(b, AlltoallPairwise, 360, 64*units.KB)
 }
+
+// BenchmarkCollectiveAlltoallCongested720 is the fused send-receive path
+// at saturation scale: 720 ranks over four CUs, 64 KB blocks, every
+// exchange step one proc park on the congested 2:1-tapered tree.
+func BenchmarkCollectiveAlltoallCongested720(b *testing.B) {
+	b.ReportAllocs()
+	benchCongested(b, AlltoallPairwise, 720, 64*units.KB)
+}

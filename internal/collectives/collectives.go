@@ -234,31 +234,39 @@ func (r *Result) Bandwidth() units.Bandwidth {
 }
 
 // comm is the per-run communicator state shared by all rank procs: the
-// mailboxes carrying semantic payloads, and the transport net moving the
-// modeled bytes.
+// transport net moving the modeled bytes, and each rank's receive state.
 type comm struct {
-	eng    *sim.Engine
 	cfg    Config
 	net    *transport.Net
-	inbox  []*sim.Mailbox[*message]
+	ranks  []rankState
 	finish []units.Time
 
-	// Message recycling and match state. Messages pool through a free
-	// list with their delivery closure bound once, and each rank's
-	// receive predicate is bound once over per-rank match slots, so the
-	// send/recv hot path — millions of messages in a full-machine
-	// alltoall — allocates nothing beyond the semantic payload.
-	freeMsg  *message
-	matchSrc []int
-	matchTag []int
-	preds    []func(*message) bool
+	// Messages pool through a free list with their delivery closure
+	// bound once, so the send/recv hot path — millions of messages in a
+	// full-machine alltoall — allocates nothing beyond the semantic
+	// payload.
+	freeMsg *message
+}
+
+// rankState is one rank's receive side: its inbox, the match slots its
+// receive predicate reads, and the fused send-receive's in-flight state.
+// The predicate and the completion hook are bound once per rank. Only
+// rank r reads inbox r, so the match slots stay stable while it waits.
+type rankState struct {
+	inbox    *sim.Mailbox[*message]
+	src, tag int // the receive being matched
+	pred     func(*message) bool
+
+	p    *sim.Proc          // the rank's proc, parked in sendrecv
+	x    *transport.Pending // sendrecv's transfer in flight
+	got  *message           // matched by the completion hook, for p to take
+	done func()             // bound completion hook of sendrecv's transfer
 }
 
 // message is one in-flight point-to-point transfer inside a collective.
 type message struct {
 	src  int
 	tag  int
-	size units.Size
 	data []float64
 
 	box     *sim.Mailbox[*message] // destination inbox of the current flight
@@ -267,47 +275,57 @@ type message struct {
 }
 
 func newComm(eng *sim.Engine, cfg Config) *comm {
-	ranks := len(cfg.Places)
 	c := &comm{
-		eng:      eng,
-		cfg:      cfg,
-		net:      transport.New(eng, cfg.Fabric, cfg.Profile, cfg.Congestion),
-		inbox:    make([]*sim.Mailbox[*message], ranks),
-		finish:   make([]units.Time, ranks),
-		matchSrc: make([]int, ranks),
-		matchTag: make([]int, ranks),
-		preds:    make([]func(*message) bool, ranks),
+		cfg:    cfg,
+		net:    transport.New(eng, cfg.Fabric, cfg.Profile, cfg.Congestion),
+		ranks:  make([]rankState, len(cfg.Places)),
+		finish: make([]units.Time, len(cfg.Places)),
 	}
-	for i := range cfg.Places {
-		c.inbox[i] = sim.NewMailbox[*message](eng, fmt.Sprintf("coll-rank%d", i))
-		i := i
-		c.preds[i] = func(m *message) bool {
-			return m.src == c.matchSrc[i] && m.tag == c.matchTag[i]
+	for i := range c.ranks {
+		rs := &c.ranks[i]
+		rs.inbox = sim.NewMailbox[*message](eng, fmt.Sprintf("coll-rank%d", i))
+		rs.pred = func(m *message) bool { return m.src == rs.src && m.tag == rs.tag }
+		rs.done = func() {
+			c.net.FinishTransfer(rs.x)
+			if m, ok := rs.inbox.MatchOrWait(rs.p, rs.pred); ok {
+				rs.got = m
+				rs.p.Resume()
+			}
 		}
 	}
 	return c
 }
 
 // getMsg pops a pooled message (allocating, with its delivery closure,
-// on first use).
-func (c *comm) getMsg() *message {
+// on first use), addressed from src to dst.
+func (c *comm) getMsg(src, dst, tag int, data []float64) *message {
 	m := c.freeMsg
 	if m == nil {
 		m = &message{}
 		m.deliver = func() { m.box.Put(m) }
-		return m
+	} else {
+		c.freeMsg = m.next
+		m.next = nil
 	}
-	c.freeMsg = m.next
-	m.next = nil
+	m.src, m.tag, m.data = src, tag, data
+	m.box = c.ranks[dst].inbox
 	return m
 }
 
-// putMsg returns a delivered-and-consumed message to the pool.
-func (c *comm) putMsg(m *message) {
+// take recycles a delivered message and returns its payload.
+func (c *comm) take(m *message) []float64 {
+	data := m.data
 	m.data = nil
 	m.box = nil
 	m.next = c.freeMsg
 	c.freeMsg = m
+	return data
+}
+
+// endpoint is rank r's transport endpoint.
+func (c *comm) endpoint(r int) transport.Endpoint {
+	pl := c.cfg.Places[r]
+	return transport.Endpoint{Node: pl.Node, Core: pl.Core}
 }
 
 // send transmits a message from src to dst over the transport, blocking
@@ -316,27 +334,46 @@ func (c *comm) putMsg(m *message) {
 // delivered to dst's mailbox after the fabric traversal and the
 // receive-side overhead.
 func (c *comm) send(p *sim.Proc, src, dst, tag int, size units.Size, data []float64) {
-	m := c.getMsg()
-	m.src, m.tag, m.size, m.data = src, tag, size, data
-	m.box = c.inbox[dst]
-	a, b := c.cfg.Places[src], c.cfg.Places[dst]
-	c.net.Transfer(p,
-		transport.Endpoint{Node: a.Node, Core: a.Core},
-		transport.Endpoint{Node: b.Node, Core: b.Core},
-		size, m.deliver)
+	m := c.getMsg(src, dst, tag, data)
+	c.net.Transfer(p, c.endpoint(src), c.endpoint(dst), size, m.deliver)
 }
 
 // recv blocks until the message with the given source and tag arrives at
-// rank dst, recycles the message and returns its payload. Safe because
-// rank dst is the only reader of its inbox, so the match slots stay
-// stable while the proc is parked inside GetMatch.
+// rank dst, recycles the message and returns its payload.
 func (c *comm) recv(p *sim.Proc, dst, src, tag int) []float64 {
-	c.matchSrc[dst] = src
-	c.matchTag[dst] = tag
-	m := c.inbox[dst].GetMatch(p, c.preds[dst])
-	data := m.data
-	c.putMsg(m)
-	return data
+	rs := &c.ranks[dst]
+	rs.src, rs.tag = src, tag
+	return c.take(rs.inbox.GetMatch(p, rs.pred))
+}
+
+// sendrecv is MPI_Sendrecv: rank r sends data to dst under stag, then
+// receives the message from src under rtag and returns its payload. It
+// schedules exactly the calendar of send followed by recv, with one
+// proc park per step instead of two for an inter-node payload message:
+// the transfer's completion event runs the send tail and the receive
+// match itself, and switches into the proc only if the matching message
+// is already queued; otherwise it leaves the proc waiting on its inbox,
+// and the next Put wakes it exactly as recv's would. Intra-node and
+// zero-size sends, whose single-interval paths end on the proc itself,
+// keep the blocking form.
+func (c *comm) sendrecv(p *sim.Proc, r, dst, stag int, size units.Size, data []float64, src, rtag int) []float64 {
+	a, b := c.cfg.Places[r].Node, c.cfg.Places[dst].Node
+	if a == b || size <= 0 {
+		c.send(p, r, dst, stag, size, data)
+		return c.recv(p, r, src, rtag)
+	}
+	m := c.getMsg(r, dst, stag, data)
+	rs := &c.ranks[r]
+	rs.p = p
+	rs.src, rs.tag = src, rtag
+	rs.x = c.net.StartTransfer(p, c.net.PairPath(a, b), c.endpoint(r), c.endpoint(dst), size, m.deliver, rs.done)
+	p.Park("sendrecv")
+	if got := rs.got; got != nil {
+		rs.got = nil
+		return c.take(got)
+	}
+	// Woken by a Put: re-run the match as recv's GetMatch loop would.
+	return c.take(rs.inbox.GetMatch(p, rs.pred))
 }
 
 // contribution is rank r's semantic input for element i. The values are
@@ -472,93 +509,6 @@ func (c *comm) result(op Op, size units.Size, out [][]float64, st sim.Stats) *Re
 		}
 	}
 	return res
-}
-
-// Spec pairs an operation with its payload size, for RunSequence.
-type Spec struct {
-	Op   Op
-	Size units.Size
-}
-
-// RunSequence runs several collectives back to back on ONE engine, with
-// all ranks rendezvousing on a sim.Group between operations so each
-// starts from a common simulated instant (the way benchmark loops
-// separate iterations with a barrier that costs nothing on the wire).
-// Per-operation times are measured from that common start.
-func RunSequence(cfg Config, specs []Spec) ([]*Result, error) {
-	ranks := len(cfg.Places)
-	if ranks == 0 {
-		return nil, fmt.Errorf("collectives: no ranks placed")
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("collectives: empty sequence")
-	}
-	algos := make([]func(*comm, *sim.Proc, int, units.Size) []float64, len(specs))
-	for i, s := range specs {
-		a, ok := algorithms[s.Op]
-		if !ok {
-			return nil, fmt.Errorf("collectives: unknown op %q (have %v)", s.Op, Ops())
-		}
-		algos[i] = a
-	}
-
-	eng := sim.NewEngine()
-	defer eng.Close()
-	group := sim.NewGroup(eng, "collective-phase", ranks)
-	comms := make([]*comm, len(specs))
-	for i := range specs {
-		comms[i] = newComm(eng, cfg)
-	}
-	starts := make([]units.Time, len(specs))
-	// marks[i] is the engine's dispatched-event count at operation i's
-	// release instant: the maximum over ranks of the count at arrival is
-	// exactly the count when the last rank arrives, before anything of
-	// the operation itself has dispatched.
-	marks := make([]int64, len(specs))
-	outs := make([][][]float64, len(specs))
-	for i := range outs {
-		outs[i] = make([][]float64, ranks)
-	}
-	for r := 0; r < ranks; r++ {
-		r := r
-		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			for i := range specs {
-				if d := eng.Stats().Dispatched; d > marks[i] {
-					marks[i] = d
-				}
-				group.Arrive(p)
-				if r == 0 {
-					starts[i] = p.Now()
-				}
-				outs[i][r] = algos[i](comms[i], p, r, specs[i].Size)
-				comms[i].finish[r] = p.Now()
-			}
-		})
-	}
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("collectives: sequence over %d ranks: %w", ranks, err)
-	}
-	st := eng.Stats()
-	results := make([]*Result, len(specs))
-	for i, s := range specs {
-		if err := validate(s.Op, cfg, outs[i]); err != nil {
-			return nil, err
-		}
-		// Per-op stats: Dispatched is the delta between release instants
-		// (rendezvous wake-ups charged to the op they start); calendar
-		// peak and proc counts stay whole-run.
-		opStats := st
-		if i+1 < len(specs) {
-			opStats.Dispatched = marks[i+1] - marks[i]
-		} else {
-			opStats.Dispatched = st.Dispatched - marks[i]
-		}
-		res := comms[i].result(s.Op, s.Size, outs[i], opStats)
-		res.Time -= starts[i]
-		res.MinTime -= starts[i]
-		results[i] = res
-	}
-	return results, nil
 }
 
 // validate checks each rank's final semantic payload against the

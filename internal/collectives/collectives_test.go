@@ -166,48 +166,6 @@ func TestDeterministicReruns(t *testing.T) {
 	}
 }
 
-func TestSequenceMatchesIndividualRuns(t *testing.T) {
-	// Rendezvousing between operations makes each start from a common
-	// instant, so per-op times in a sequence equal standalone runs.
-	cfg := testConfig(9)
-	specs := []Spec{
-		{BarrierRecursiveDoubling, 0},
-		{BcastBinomial, 16 * units.KB},
-		{AllreduceRing, 8 * units.KB},
-	}
-	seq, err := RunSequence(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range specs {
-		solo, err := Run(cfg, s.Op, s.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Flow-free ops match exactly; ops with concurrent HCA flows can
-		// differ within a chunk (release order changes which flows
-		// overlap at chunk boundaries), so allow 2%.
-		diff := math.Abs(float64(seq[i].Time - solo.Time))
-		if diff/float64(solo.Time) > 0.02 {
-			t.Errorf("%s: sequence %v != solo %v", s.Op, seq[i].Time, solo.Time)
-		}
-	}
-	// Dispatched events are attributed per operation and roughly match
-	// the standalone runs (the sequence adds rendezvous wake-ups).
-	var attributed int64
-	for i, r := range seq {
-		if r.EngineStats.Dispatched <= 0 {
-			t.Errorf("%s: no events attributed", specs[i].Op)
-		}
-		attributed += r.EngineStats.Dispatched
-	}
-	solo0, _ := Run(cfg, specs[0].Op, specs[0].Size)
-	if attributed < solo0.EngineStats.Dispatched {
-		t.Errorf("attributed %d events across the sequence, less than one solo op (%d)",
-			attributed, solo0.EngineStats.Dispatched)
-	}
-}
-
 func TestRootedBroadcastFromNonzeroRoot(t *testing.T) {
 	cfg := testConfig(11)
 	cfg.Root = 7

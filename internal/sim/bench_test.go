@@ -44,6 +44,35 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkEventLoopSameInstant measures the calendar under the DES's
+// dominant same-instant pattern: every timed event fans out into
+// zero-delay follow-ups (wakes, admission grants, chained
+// continuations), which the lane dispatches without touching the heap,
+// while a standing backlog of future events keeps the heap deep.
+func BenchmarkEventLoopSameInstant(b *testing.B) {
+	const batch, backlog = 1024, 512
+	b.ReportAllocs()
+	e := NewEngine()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		for j := 0; j < backlog; j++ {
+			e.Schedule(units.Time(1000+j)*units.Nanosecond, func() {})
+		}
+		for j := 0; j < batch; j++ {
+			d := units.Time(j%97) * units.Nanosecond
+			e.Schedule(d, func() {
+				e.Schedule(0, func() {
+					e.Schedule(0, func() {})
+				})
+				e.Schedule(0, func() {})
+			})
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkProcParkUnpark measures proc churn: a ring of procs that
 // repeatedly sleep, exercising park/unpark bookkeeping (the structures
 // the orchestrator amplifies when many DES engines run at once).

@@ -10,17 +10,29 @@
 // simulation deterministic and free of data races without any locking in
 // model code.
 //
-// The calendar is a binary min-heap of event values held in one slab
-// slice: scheduling an event costs no allocation beyond amortised slice
-// growth, and dispatching never touches the garbage collector. Procs ride
-// iter.Pull coroutines (direct runtime switches, no channel round trips),
-// the live set is an intrusive list threaded through the Procs themselves,
-// and a finished engine can be Reset — calendar slab, list headers and
-// daemon procs retained — so pooled callers (the trace replay evaluator)
-// pay construction once per search, not per evaluation. All of it matters
-// because the experiment orchestrator runs one engine per experiment
-// across all CPUs at once, and the placement optimizer replays tens of
-// thousands of evaluations per run.
+// The calendar has two parts. Future events sit in a 4-ary min-heap of
+// event values held in one slab slice; events scheduled for the current
+// instant (At(Now()), Schedule(0, ...): wakes, grants, chained
+// continuations) skip the heap and go to a same-instant FIFO lane. The
+// split keeps the strict (time, seq) order exactly: every heap event at
+// Now() was scheduled before the clock reached Now() and so carries a
+// lower sequence number than anything in the lane, so the loop
+// dispatches heap events at Now() first, then drains the lane, and only
+// then advances the clock. Pending and CalendarPeak count both parts.
+// Scheduling costs no allocation beyond amortised slice growth, and
+// dispatching never touches the garbage collector.
+//
+// Procs ride iter.Pull coroutines (direct runtime switches, no channel
+// round trips), the live set is an intrusive list threaded through the
+// Procs themselves, and a finished engine can be Reset — calendar slab,
+// list headers and daemon procs retained — so pooled callers (the trace
+// replay evaluator) pay construction once per search, not per
+// evaluation. An event may also act for a parked proc and switch into
+// it only when there is work: Mailbox.MatchOrWait runs a receive match
+// on the proc's behalf, and Proc.Resume hands control over inline. All
+// of it matters because the experiment orchestrator runs one engine per
+// experiment across all CPUs at once, and the placement optimizer
+// replays tens of thousands of evaluations per run.
 package sim
 
 import (
@@ -44,14 +56,18 @@ type event struct {
 type Engine struct {
 	now    units.Time
 	seq    int64
-	events []event // binary min-heap ordered by (at, seq)
+	events []event  // 4-ary min-heap of future events, ordered by (at, seq)
+	lane   []func() // same-instant FIFO: events at now, scheduled at now
+	head   int      // next lane entry to dispatch
 
 	procs   procList // all live (not yet finished) procs
 	daemons int      // live procs spawned with SpawnDaemon
 	closed  bool
 
 	dispatched int64 // events executed over the engine's lifetime
-	peakEvents int   // calendar high-water mark
+	peakEvents int   // calendar high-water mark (heap plus lane)
+
+	running *Proc // the proc executing right now; nil in event context
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -77,7 +93,20 @@ func (e *Engine) At(t units.Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
+	if t == e.now {
+		e.lane = append(e.lane, fn)
+		e.notePeak()
+		return
+	}
 	e.push(event{at: t, seq: e.seq, fn: fn})
+}
+
+// notePeak records the calendar high-water mark. Heap and lane together
+// hold exactly the events a single heap would, so the mark is the same.
+func (e *Engine) notePeak() {
+	if n := len(e.events) + len(e.lane) - e.head; n > e.peakEvents {
+		e.peakEvents = n
+	}
 }
 
 // lessEv orders events by (time, sequence).
@@ -100,9 +129,7 @@ func lessEv(a, b *event) bool {
 // every simulated result) is identical to the binary-heap calendar's.
 func (e *Engine) push(ev event) {
 	e.events = append(e.events, ev)
-	if len(e.events) > e.peakEvents {
-		e.peakEvents = len(e.events)
-	}
+	e.notePeak()
 	i := len(e.events) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -152,8 +179,34 @@ func (e *Engine) pop() event {
 	return top
 }
 
+// next removes and returns the event to dispatch — the heap's minimum if
+// it is due at Now(), else the lane's oldest entry, else the heap's
+// minimum with the clock advanced to it — or nil when the calendar is
+// empty or (until >= 0) the next event lies beyond until.
+func (e *Engine) next(until units.Time) func() {
+	if len(e.events) > 0 && e.events[0].at == e.now {
+		return e.pop().fn
+	}
+	if e.head < len(e.lane) {
+		fn := e.lane[e.head]
+		e.lane[e.head] = nil
+		e.head++
+		if e.head == len(e.lane) {
+			e.lane = e.lane[:0]
+			e.head = 0
+		}
+		return fn
+	}
+	if len(e.events) == 0 || until >= 0 && e.events[0].at > until {
+		return nil
+	}
+	ev := e.pop()
+	e.now = ev.at
+	return ev.fn
+}
+
 // Pending reports the number of events on the calendar.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.events) + len(e.lane) - e.head }
 
 // Stats is a snapshot of engine counters, cheap enough to read anywhere.
 type Stats struct {
@@ -195,8 +248,8 @@ func (e *Engine) Reset() {
 	if e.procs.n > e.daemons {
 		panic(fmt.Sprintf("sim: reset with %d live proc(s)", e.procs.n-e.daemons))
 	}
-	if len(e.events) > 0 {
-		panic(fmt.Sprintf("sim: reset with %d queued event(s)", len(e.events)))
+	if n := e.Pending(); n > 0 {
+		panic(fmt.Sprintf("sim: reset with %d queued event(s)", n))
 	}
 	e.now = 0
 	e.seq = 0
@@ -241,24 +294,9 @@ func (e *Engine) run(until units.Time) error {
 	if e.closed {
 		return fmt.Errorf("sim: engine is closed")
 	}
-	if until < 0 {
-		// The unbounded loop, free of the horizon compare: the shape
-		// every full run dispatches millions of events through.
-		for len(e.events) > 0 {
-			ev := e.pop()
-			e.now = ev.at
-			e.dispatched++
-			ev.fn()
-		}
-	}
-	for until >= 0 && len(e.events) > 0 {
-		if e.events[0].at > until {
-			return nil
-		}
-		ev := e.pop()
-		e.now = ev.at
+	for fn := e.next(until); fn != nil; fn = e.next(until) {
 		e.dispatched++
-		ev.fn()
+		fn()
 	}
 	if until < 0 && e.procs.n > e.daemons {
 		// Control only returns to the loop when every live proc is
@@ -292,4 +330,6 @@ func (e *Engine) Close() {
 	e.procs = procList{}
 	e.daemons = 0
 	e.events = nil
+	e.lane = nil
+	e.head = 0
 }

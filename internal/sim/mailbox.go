@@ -90,16 +90,31 @@ func (m *Mailbox[T]) TryGet() (T, bool) {
 // primitive used for tag/source matching in the MPI layers.
 func (m *Mailbox[T]) GetMatch(p *Proc, pred func(T) bool) T {
 	for {
-		for i, v := range m.items {
-			if pred(v) {
-				copy(m.items[i:], m.items[i+1:])
-				var zero T
-				m.items[len(m.items)-1] = zero
-				m.items = m.items[:len(m.items)-1]
-				return v
-			}
+		if v, ok := m.MatchOrWait(p, pred); ok {
+			return v
 		}
-		m.waiters = append(m.waiters, p)
-		p.Park(m.reasonMatch)
+		p.park(m.reasonMatch)
 	}
+}
+
+// MatchOrWait removes and returns the oldest item satisfying pred, or —
+// when none is queued — registers p as a waiter, so the next Put wakes
+// it, and returns false. It never blocks, so an event can run a receive
+// match on behalf of a parked proc: on a match the event hands the item
+// over and resumes the proc; otherwise the proc stays parked exactly as
+// if it had called GetMatch, and re-runs the match when woken.
+func (m *Mailbox[T]) MatchOrWait(p *Proc, pred func(T) bool) (T, bool) {
+	for i, v := range m.items {
+		if pred(v) {
+			copy(m.items[i:], m.items[i+1:])
+			var zero T
+			m.items[len(m.items)-1] = zero
+			m.items = m.items[:len(m.items)-1]
+			return v, true
+		}
+	}
+	m.waiters = append(m.waiters, p)
+	p.parkReason = m.reasonMatch
+	var zero T
+	return zero, false
 }

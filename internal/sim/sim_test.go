@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -42,38 +44,234 @@ func TestTieBreakBySequence(t *testing.T) {
 	}
 }
 
-func TestEventOrderProperty(t *testing.T) {
-	// Random delays always fire in nondecreasing time order.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		var times []units.Time
-		n := 50
-		var schedule func(depth int)
-		schedule = func(depth int) {
-			d := units.Time(rng.Intn(1000)) * units.Nanosecond
-			e.Schedule(d, func() {
-				times = append(times, e.Now())
-				if depth > 0 && rng.Intn(2) == 0 {
-					schedule(depth - 1)
-				}
-			})
+// calendarModel mirrors the engine's calendar from outside: every call
+// that schedules exactly one event takes the next sequence number, as
+// the engine's own counter does, and every dispatch is logged with its
+// (at, seq). Dispatch must follow that total order exactly, whether an
+// event went through the heap or the same-instant lane.
+type calendarModel struct {
+	e     *Engine
+	rng   *rand.Rand
+	seq   int64
+	want  map[int64]units.Time // scheduled, not yet dispatched: seq → at
+	log   []calStamp
+	peak  int
+	procs int
+	err   string
+}
+
+type calStamp struct {
+	at  units.Time
+	seq int64
+}
+
+func (m *calendarModel) failf(format string, args ...any) {
+	if m.err == "" {
+		m.err = fmt.Sprintf(format, args...)
+	}
+}
+
+// scheduled records one event put on the calendar for at, just before
+// (a proc's Sleep or a Wake) or just after the call that schedules it.
+func (m *calendarModel) scheduled(at units.Time) int64 {
+	m.seq++
+	m.want[m.seq] = at
+	m.peak = max(m.peak, len(m.want))
+	return m.seq
+}
+
+// fired logs the dispatch of event seq.
+func (m *calendarModel) fired(seq int64) {
+	at, ok := m.want[seq]
+	if !ok || at != m.e.Now() {
+		m.failf("event %d fired at %v, scheduled for %v (known %v)", seq, m.e.Now(), at, ok)
+	}
+	delete(m.want, seq)
+	m.log = append(m.log, calStamp{at, seq})
+	if got := m.e.Pending(); got != len(m.want) {
+		m.failf("Pending() = %d while dispatching, want %d", got, len(m.want))
+	}
+}
+
+// event schedules a logged event at t that acts further when it fires.
+func (m *calendarModel) event(t units.Time, depth int) {
+	var id int64
+	m.e.At(t, func() {
+		m.fired(id)
+		m.act(depth - 1)
+	})
+	id = m.scheduled(t)
+	if got := m.e.Pending(); got != len(m.want) {
+		m.failf("Pending() = %d after scheduling, want %d", got, len(m.want))
+	}
+}
+
+// act performs random scheduling work, heavy in At(Now()): from an
+// event, a proc body or the test itself between RunUntil slices.
+func (m *calendarModel) act(depth int) {
+	if depth <= 0 {
+		return
+	}
+	for n := m.rng.Intn(3); n >= 0; n-- {
+		switch r := m.rng.Intn(10); {
+		case r < 5:
+			m.event(m.e.Now(), depth)
+		case r < 8:
+			// Small offsets make ties with heap events at one instant.
+			m.event(m.e.Now()+units.Time(m.rng.Intn(3))*units.Nanosecond, depth)
+		case r < 9 && m.procs < 12:
+			m.spawn(units.Time(m.rng.Intn(2))*units.Nanosecond, depth)
 		}
-		for i := 0; i < n; i++ {
-			schedule(3)
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		for i := 1; i < len(times); i++ {
-			if times[i] < times[i-1] {
-				return false
+	}
+}
+
+// spawn starts a proc that sleeps (often for zero), schedules events
+// and parks until an event wakes it, logging each of its resumes.
+func (m *calendarModel) spawn(delay units.Time, depth int) {
+	m.procs++
+	var start int64
+	m.e.SpawnAt(delay, "p", func(p *Proc) {
+		m.fired(start)
+		for k := m.rng.Intn(4); k >= 0; k-- {
+			m.act(depth - 1)
+			switch m.rng.Intn(3) {
+			case 0, 1:
+				d := units.Time(m.rng.Intn(2)) * units.Nanosecond
+				id := m.scheduled(p.Now() + d)
+				p.Sleep(d)
+				m.fired(id)
+			case 2:
+				var wake int64
+				var waker int64
+				d := units.Time(m.rng.Intn(2)) * units.Nanosecond
+				m.e.Schedule(d, func() {
+					m.fired(waker)
+					wake = m.scheduled(m.e.Now())
+					p.Wake()
+				})
+				waker = m.scheduled(p.Now() + d)
+				p.Park("waiting for the waker event")
+				m.fired(wake)
 			}
 		}
-		return true
+	})
+	start = m.scheduled(m.e.Now() + delay)
+}
+
+// runCalendar drives one random schedule through RunUntil slices and a
+// final Run, and returns the dispatch log.
+func runCalendar(e *Engine, seed int64) ([]calStamp, string) {
+	m := &calendarModel{e: e, rng: rand.New(rand.NewSource(seed)), want: map[int64]units.Time{}}
+	for slice := 0; slice < 4; slice++ {
+		m.act(4)
+		m.event(e.Now(), 3) // into the lane from outside the loop
+		until := e.Now() + units.Time(m.rng.Intn(4))*units.Nanosecond
+		if err := e.RunUntil(until); err != nil {
+			return nil, err.Error()
+		}
+		if e.Now() != until {
+			m.failf("RunUntil(%v) left the clock at %v", until, e.Now())
+		}
+		for _, at := range m.want {
+			if at <= until {
+				m.failf("event due at %v still pending after RunUntil(%v)", at, until)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := e.Run(); err != nil {
+		return nil, err.Error()
+	}
+	if len(m.want) != 0 || e.Pending() != 0 {
+		m.failf("%d event(s) never fired, Pending() = %d", len(m.want), e.Pending())
+	}
+	for i := 1; i < len(m.log); i++ {
+		a, b := m.log[i-1], m.log[i]
+		if a.at > b.at || a.at == b.at && a.seq > b.seq {
+			m.failf("dispatch %d (%v, seq %d) after (%v, seq %d)", i, b.at, b.seq, a.at, a.seq)
+		}
+	}
+	st := e.Stats()
+	if st.Dispatched != int64(len(m.log)) || st.CalendarPeak != m.peak {
+		m.failf("stats %+v, want %d dispatched, peak %d", st, len(m.log), m.peak)
+	}
+	return m.log, m.err
+}
+
+// TestEventOrderProperty: random schedules heavy in same-instant events,
+// issued from events, procs and between RunUntil slices, dispatch in
+// exactly the (at, seq) order with exact Pending() and CalendarPeak
+// counts, and a Reset engine replays the same schedule identically.
+func TestEventOrderProperty(t *testing.T) {
+	pooled := NewEngine()
+	defer pooled.Close()
+	f := func(seed int64) bool {
+		fresh := NewEngine()
+		defer fresh.Close()
+		want, msg := runCalendar(fresh, seed)
+		if msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return false
+		}
+		pooled.Reset()
+		got, msg := runCalendar(pooled, seed)
+		if msg != "" || !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: pooled engine diverged: %s", seed, msg)
+			return false
+		}
+		return len(want) > 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResumeFromEvent: an event resumes a parked proc inline, at its own
+// instant and without a calendar slot of its own; the contract panics
+// from a proc, on a proc that is not parked, and with a wake pending.
+func TestResumeFromEvent(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	var resumedAt units.Time
+	waiter := e.Spawn("waiter", func(p *Proc) {
+		p.Park("resumed inline")
+		resumedAt = p.Now()
+	})
+	e.Schedule(4*units.Nanosecond, waiter.Resume)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumedAt != 4*units.Nanosecond || e.Stats().Dispatched != 2 {
+		t.Errorf("resumed at %v after %d events, want 4ns after 2", resumedAt, e.Stats().Dispatched)
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	e2 := NewEngine()
+	defer e2.Close()
+	parked := e2.Spawn("parked", func(p *Proc) { p.Park("never resumed by the caller") })
+	e2.Spawn("caller", func(p *Proc) {
+		mustPanic("resume from a proc", parked.Resume)
+		p.Sleep(units.Nanosecond)
+		parked.Wake()
+	})
+	done := e2.Spawn("done", func(*Proc) {})
+	e2.Schedule(2*units.Nanosecond, func() {
+		mustPanic("resume of a finished proc", done.Resume)
+	})
+	pending := e2.Spawn("pending", func(p *Proc) { p.Park("woken once") })
+	e2.Schedule(3*units.Nanosecond, func() {
+		pending.Wake()
+		mustPanic("resume with a wake pending", pending.Resume)
+	})
+	if err := e2.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -245,7 +245,7 @@ func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 					e.pairs[pi] = pp
 				}
 			}
-			return e.net.StartTransfer(e.procs[rank], pp, src, dst, o.size, e.deliver[o.aux])
+			return e.net.StartTransfer(e.procs[rank], pp, src, dst, o.size, e.deliver[o.aux], nil)
 		}
 		e.chainFn[rank] = func() {
 			e.pendX[rank] = issueSend(e.pendOp[rank])

@@ -383,7 +383,7 @@ func (n *Net) TransferVia(p *sim.Proc, pp PairPath, src, dst Endpoint, size unit
 		n.eng.Schedule(n.fabLat(pp.xp)+pr.PerSideOverhead, deliver)
 		return
 	}
-	x := n.StartTransfer(p, pp, src, dst, size, deliver)
+	x := n.StartTransfer(p, pp, src, dst, size, deliver, nil)
 	p.Park("transfer")
 	// The final chunk's completion woke us.
 	n.FinishTransfer(x)
@@ -393,10 +393,14 @@ func (n *Net) TransferVia(p *sim.Proc, pp PairPath, src, dst Endpoint, size unit
 // proc p and returns its in-flight handle. It is safe to call from
 // event context — replay walkers chain a compute interval directly
 // into the send it precedes, parking their proc once for both. The
-// caller must park p (with no wake pending); the chain wakes it when
-// the stream completes, after which the caller runs FinishTransfer.
+// caller must park p; when the stream completes, the chain schedules
+// exactly one event at the stream's end. With done nil that event
+// resumes p (which must have no wake pending), and the woken proc runs
+// FinishTransfer. Otherwise the event runs done, which takes over the
+// tail: it must call FinishTransfer itself and may then resume p
+// (sim.Proc.Resume) or leave it parked for another party to wake.
 // size must be positive.
-func (n *Net) StartTransfer(p *sim.Proc, pp PairPath, src, dst Endpoint, size units.Size, deliver func()) *Pending {
+func (n *Net) StartTransfer(p *sim.Proc, pp PairPath, src, dst Endpoint, size units.Size, deliver, done func()) *Pending {
 	n.msgs++
 	pr := n.prof
 	n.wire += size
@@ -406,6 +410,7 @@ func (n *Net) StartTransfer(p *sim.Proc, pp PairPath, src, dst Endpoint, size un
 	x.hsrc = n.HCA(src.Node)
 	x.hdst = n.HCA(dst.Node)
 	x.deliver = deliver
+	x.done = done
 	x.pairBW = pr.PairBandwidth(src.Core, dst.Core)
 	x.size = size
 	x.remaining = size
@@ -425,7 +430,7 @@ func (n *Net) StartTransfer(p *sim.Proc, pp PairPath, src, dst Endpoint, size un
 // FinishTransfer runs a completed transfer's tail — deregister the HCA
 // flow, release the route's links, schedule the delivery — exactly as
 // the blocking form runs it after its last sleep. Call it from the
-// woken proc, then the handle is recycled.
+// woken proc or from the completion hook; the handle is then recycled.
 func (n *Net) FinishTransfer(x *Pending) {
 	ib.EndBetween(x.hsrc, x.hdst)
 	for _, id := range n.admission(x.xp) {
@@ -450,6 +455,7 @@ type Pending struct {
 	xp         xbarPath
 	hsrc, hdst *ib.HCA
 	deliver    func()
+	done       func() // completion hook; nil resumes p
 	pairBW     units.Bandwidth
 	size       units.Size
 
@@ -500,14 +506,18 @@ func (x *Pending) admit() {
 }
 
 // stream schedules the next HCA chunk interval at the rate both
-// adapters sustain this instant; the last interval hands control back
-// to the parked proc for the release-and-deliver tail.
+// adapters sustain this instant. The last interval schedules the
+// transfer's one completion event: the done hook, or the resume of the
+// parked proc, either of which runs the release-and-deliver tail.
 func (x *Pending) stream() {
 	chunk, t := ib.StepBetween(x.hsrc, x.hdst, x.remaining, x.pairBW)
 	x.remaining -= chunk
-	if x.remaining > 0 {
+	switch {
+	case x.remaining > 0:
 		x.n.eng.Schedule(t, x.stepFn)
-	} else {
+	case x.done != nil:
+		x.n.eng.Schedule(t, x.done)
+	default:
 		x.p.WakeAfter(t)
 	}
 }
@@ -539,6 +549,7 @@ func (n *Net) putXfer(x *Pending) {
 	x.hsrc = nil
 	x.hdst = nil
 	x.deliver = nil
+	x.done = nil
 	x.free = n.xfers
 	n.xfers = x
 }
