@@ -37,8 +37,9 @@ bench-full:
 # benches the analytic pricing model the two-tier search screens with
 # (price one mapping, cold-route pricing, and model compilation);
 # RouteCacheFullMachine the transport route table's footprint (B/op of
-# deriving every full-machine fat-tree route on one Net).
-BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate|RouteCache
+# deriving every full-machine fat-tree route on one Net); EvaluatorNew
+# and TraceTraffic the per-trace setup that reuses the validated match.
+BENCH_RE = Collective|Saturation|TraceReplay|EvaluatorReplay|EvaluatorNew|TraceTraffic|PlacementOptimize|EventLoop|ProcParkUnpark|MailboxPingPong|Facility|TopoCompare|TopologyRoute|Surrogate|RouteCache
 BENCH_PKGS = ./internal/collectives ./internal/scenario ./internal/trace ./internal/placement ./internal/surrogate ./internal/sim ./internal/facility ./internal/fabric ./internal/transport
 
 bench-artifact:

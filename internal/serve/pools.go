@@ -54,7 +54,7 @@ func newBoundedCache[V any](max int, release func(V)) *boundedCache[V] {
 
 // newPoolCache keeps the warm evaluator pools, so every replay job for
 // a trace the service has already seen checks out a warm evaluator
-// instead of revalidating the trace and rebuilding an engine.
+// instead of rebuilding an engine.
 func newPoolCache(max int) *boundedCache[*trace.EvaluatorPool] {
 	return newBoundedCache(max, (*trace.EvaluatorPool).Close)
 }

@@ -6,6 +6,7 @@ import (
 	"roadrunner/internal/fabric"
 	"roadrunner/internal/ib"
 	"roadrunner/internal/surrogate"
+	"roadrunner/internal/trace"
 	"roadrunner/internal/transport"
 )
 
@@ -18,7 +19,7 @@ func benchModel(b *testing.B) (*surrogate.Model, []transport.Endpoint) {
 	b.Helper()
 	tr := testTrace(b)
 	fab := fabric.New()
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func BenchmarkSurrogateNew(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+		m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 		if err != nil {
 			b.Fatal(err)
 		}

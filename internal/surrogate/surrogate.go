@@ -145,20 +145,15 @@ type Model struct {
 	weights []float64 // shared across clones after Calibrate
 }
 
-// New builds the model for a validated trace on the given fabric,
-// profile and congestion policy. The traffic matrix and the compiled
-// DAG are computed here (once per trace); an invalid trace is an error.
-func New(tr *trace.Trace, fab *fabric.System, prof ib.Profile, pol transport.Policy) (*Model, error) {
-	return NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: prof, Policy: pol})
-}
-
 // NewReplay builds the model matching a replay configuration: fabric,
 // profile, policy, ComputeScale and SkipCompute are honored, so the
 // surrogate prices exactly the objective the DES replays under that
 // configuration (Places and Observe have no meaning here). The
 // placement search uses this constructor — its objective may be the
 // comm-only schedule — and scaled what-if replays get a matching
-// surrogate for free.
+// surrogate for free. The traffic matrix and the compiled DAG are built
+// here, from the send/recv match the trace carries from Decode or
+// capture; an invalid trace is an error.
 func NewReplay(tr *trace.Trace, cfg trace.ReplayConfig) (*Model, error) {
 	if cfg.Fabric == nil {
 		return nil, fmt.Errorf("surrogate: nil fabric")
@@ -202,8 +197,8 @@ func compile(tr *trace.Trace, mat *trace.TrafficMatrix, eager units.Size, scale 
 		pairIdx[int64(p.Src)*int64(mat.Ranks)+int64(p.Dst)] = int32(i)
 	}
 	// One pass in canonical (rank-major) order: comm records append
-	// ops, compute accumulates into the pending pre-duration. The op
-	// index of each record's send is kept for the matching pass.
+	// ops, compute accumulates into the pending pre-duration. Each comm
+	// record's op index is kept for wiring recvs to their sends.
 	opOf := make([]int32, len(tr.Records))
 	var pre int64
 	for i, r := range tr.Records {
@@ -233,23 +228,11 @@ func compile(tr *trace.Trace, mat *trace.TrafficMatrix, eager units.Size, scale 
 			pre = 0
 		}
 	}
-	// FIFO send/recv matching per channel, as the trace validator pairs
-	// them (the trace is already validated; matching cannot fail).
-	type chanKey struct{ src, dst, tag int }
-	sends := make(map[chanKey][]int32)
+	// Wire each recv to its matching send through the trace's match.
 	for i, r := range tr.Records {
-		if r.Kind == trace.KindSend {
-			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sends[k] = append(sends[k], opOf[i])
+		if r.Kind == trace.KindRecv {
+			c.ops[opOf[i]].sendOf = opOf[mat.Partner(i)]
 		}
-	}
-	for i, r := range tr.Records {
-		if r.Kind != trace.KindRecv {
-			continue
-		}
-		k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-		c.ops[opOf[i]].sendOf = sends[k][0]
-		sends[k] = sends[k][1:]
 	}
 	for r := 0; r < mat.Ranks; r++ {
 		c.off[r+1] += c.off[r]

@@ -72,7 +72,7 @@ func perturb(base []transport.Endpoint, seed int64, swaps int) []transport.Endpo
 func TestPriceDeterministicAcrossClonesAndCalls(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.NewScaled(4)
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPriceIndependentOfRouteDerivationOrder(t *testing.T) {
 			for _, b := range basePlacements(fab, tr.Meta.Ranks) {
 				cands = append(cands, b, perturb(b, 7, 9))
 			}
-			warm, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+			warm, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestPriceIndependentOfRouteDerivationOrder(t *testing.T) {
 				warm.Price(perturb(cands[i], 100+int64(i), 20))
 			}
 			for i := len(cands) - 1; i >= 0; i-- {
-				fresh, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+				fresh, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestPriceIndependentOfRouteDerivationOrder(t *testing.T) {
 func TestPriceSpreadsCandidates(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.NewScaled(4)
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCalibratedSpearmanVsDES(t *testing.T) {
 		return res.Time
 	}
 
-	m, err := surrogate.New(tr, fab, prof, pol)
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: prof, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCalibratedSpearmanVsDES(t *testing.T) {
 func TestCalibrateRejectsBadInput(t *testing.T) {
 	tr := testTrace(t)
 	fab := fabric.NewScaled(2)
-	m, err := surrogate.New(tr, fab, ib.OpenMPI(), transport.Congested())
+	m, err := surrogate.NewReplay(tr, trace.ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,3 +118,34 @@ func BenchmarkTraceReplayCodec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEvaluatorNew is the per-evaluator setup on a decoded or
+// captured trace: the op compile, engine, mailboxes, delivery events
+// and walker procs. A pool pays it once per warm evaluator.
+func BenchmarkEvaluatorNew(b *testing.B) {
+	tr := benchTrace(b)
+	cfg := trace.ReplayConfig{Fabric: fabric.New(), Profile: ib.OpenMPI(), Policy: transport.Congested()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := trace.NewEvaluator(tr, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev.Close()
+	}
+}
+
+// BenchmarkTraceTraffic is the placement-independent traffic matrix:
+// pair totals and the critical-chain DP over the trace's DAG.
+func BenchmarkTraceTraffic(b *testing.B) {
+	tr := benchTrace(b)
+	eager := ib.OpenMPI().EagerThreshold
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Traffic(eager); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

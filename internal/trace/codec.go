@@ -161,9 +161,11 @@ func Decode(r io.Reader) (*Trace, error) {
 			h.Records, len(t.Records))
 	}
 	t.Normalize()
-	if err := t.Validate(); err != nil {
+	m, err := newMatch(t, true)
+	if err != nil {
 		return nil, err
 	}
+	t.m = m
 	return t, nil
 }
 

@@ -12,15 +12,16 @@ import (
 )
 
 // Evaluator is the batch replay evaluation path: everything a replay
-// repeats across placements — trace validation, the compiled record
-// streams, the sim engine with its rank procs, the transport's HCA and
-// link state, the per-send delivery events and the proc-name strings —
-// is built once, and each Evaluate call replays the trace under a new
-// rank→node mapping on the pooled state. The placement optimizer calls
-// the replay tens of thousands of times; paying validation (O(records)
-// map churn) and engine/transport construction per call would dominate
-// the search, so the evaluator turns the replay from a one-shot
-// reporter into a search-grade objective function.
+// repeats across placements — the compiled record streams, the sim
+// engine with its rank procs, the transport's HCA and link state, the
+// per-send delivery events and the proc-name strings — is built once,
+// and each Evaluate call replays the trace under a new rank→node
+// mapping on the pooled state. The placement optimizer calls the
+// replay tens of thousands of times; paying engine/transport
+// construction per call would dominate the search, so the evaluator
+// turns the replay from a one-shot reporter into a search-grade
+// objective function. Validation is not even paid per evaluator: a
+// trace from Decode or capture carries its validated match.
 //
 // The record streams are compiled to a compact op array per rank:
 // one cache line holds three ops instead of one-and-a-half records, the
@@ -81,6 +82,8 @@ type Evaluator struct {
 
 	used   bool // at least one Evaluate ran: reset and wake next time
 	closed bool
+
+	m *match // the trace's validated match, shared read-only
 }
 
 // The compiled op kinds.
@@ -112,13 +115,16 @@ type replayOp struct {
 	dur  units.Time // compute duration, scaling pre-applied
 }
 
-// NewEvaluator validates the trace once and builds the pooled replay
-// state for it. The config's Places field is ignored — the placement is
-// the argument of each Evaluate call; everything else (fabric, profile,
-// congestion policy, compute scaling, observers) is fixed for the
-// evaluator's lifetime. Close releases the engine when done.
+// NewEvaluator builds the pooled replay state for the trace, reusing
+// the validated match a decoded or captured trace carries (any other
+// trace is validated in full first). The config's Places field is
+// ignored — the placement is the argument of each Evaluate call;
+// everything else (fabric, profile, congestion policy, compute
+// scaling, observers) is fixed for the evaluator's lifetime. Close
+// releases the engine when done.
 func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
-	if err := t.Validate(); err != nil {
+	m, err := t.matched()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Fabric == nil {
@@ -129,7 +135,7 @@ func NewEvaluator(t *Trace, cfg ReplayConfig) (*Evaluator, error) {
 		return nil, err
 	}
 	ranks := t.Meta.Ranks
-	e := &Evaluator{tr: t, cfg: cfg, scale: scale}
+	e := &Evaluator{tr: t, m: m, cfg: cfg, scale: scale}
 
 	// Compile the per-rank streams: canonical order, send slots dense in
 	// record order, compute ops pre-scaled (or dropped under

@@ -12,9 +12,10 @@ import (
 
 // FuzzDecode feeds arbitrary bytes through the full parse→validate→
 // replay pipeline. The contract under test: malformed input returns an
-// error — it never panics, and whatever Decode accepts replays without
-// deadlocking the engine (Validate's acyclicity check is exactly the
-// no-deadlock guarantee). Additional seed corpus entries live in
+// error — it never panics, and whatever Decode accepts has a traffic
+// matrix that agrees with its stats and replays without deadlocking
+// the engine (Validate's acyclicity check is exactly the no-deadlock
+// guarantee). Additional seed corpus entries live in
 // testdata/fuzz/FuzzDecode.
 func FuzzDecode(f *testing.F) {
 	valid := func(tr *Trace) []byte {
@@ -49,6 +50,17 @@ func FuzzDecode(f *testing.F) {
 		tr, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input must error, and did
+		}
+		// The traffic matrix reads the match Decode stored: it must
+		// exist for every accepted trace and agree with the record tally.
+		mat, err := tr.Traffic(ib.OpenMPI().EagerThreshold)
+		if err != nil {
+			t.Fatalf("validated trace has no traffic matrix: %v", err)
+		}
+		st := tr.Stats()
+		if mat.Msgs != int64(st.Sends) || mat.Bytes != st.Bytes || mat.CritMsgs > mat.Msgs {
+			t.Fatalf("traffic matrix msgs %d bytes %v crit %d disagrees with stats sends %d bytes %v",
+				mat.Msgs, mat.Bytes, mat.CritMsgs, st.Sends, st.Bytes)
 		}
 		// Decode re-validated everything; a replay must therefore finish
 		// (the engine detects any residual blocking as a DeadlockError,

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"roadrunner/internal/units"
 )
@@ -13,7 +12,7 @@ import (
 // at a time, so no locking is needed — and Trace() assembles the
 // canonical trace: sequence numbers from per-rank program order, recv
 // dependencies from FIFO matching on each (src, dst, tag) channel, and a
-// full Validate before anything is returned.
+// full validation before anything is returned.
 type Recorder struct {
 	meta    Meta
 	perRank [][]Record
@@ -83,48 +82,24 @@ func (rec *Recorder) Trace() (*Trace, error) {
 	for _, rs := range rec.perRank {
 		t.Records = append(t.Records, rs...)
 	}
-	if err := resolveDeps(t); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
+	m, err := newMatch(t, false)
+	if err != nil {
 		return nil, fmt.Errorf("trace: capture produced an invalid trace: %w", err)
 	}
+	resolveDeps(t, m)
+	t.m = m
 	return t, nil
 }
 
-// resolveDeps fills each recv's Dep with the Seq of the matching send,
-// pairing the k-th recv on a channel with the k-th send. Sends are
-// matched in the sender's program order and recvs in the receiver's —
-// the FIFO channel discipline the replay engine (and MPI message
-// ordering between a rank pair with one tag) guarantees.
-func resolveDeps(t *Trace) error {
-	sendSeqs := make(map[chanKey][]int)
-	for _, r := range t.Records {
-		if r.Kind == KindSend {
-			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sendSeqs[k] = append(sendSeqs[k], r.Seq)
-		}
-	}
-	// Per-channel send order is the sender's seq order; records are
-	// appended rank-major here, so each channel's list is already
-	// ascending. Sort anyway to keep the invariant independent of the
-	// append order.
-	for _, seqs := range sendSeqs {
-		sort.Ints(seqs)
-	}
-	next := make(map[chanKey]int)
+// resolveDeps fills each recv's Dep with the Seq of its matching send:
+// the k-th recv on a (src, dst, tag) channel pairs with the k-th send,
+// sends in the sender's program order and recvs in the receiver's — the
+// FIFO channel discipline the replay engine (and MPI message ordering
+// between a rank pair with one tag) guarantees.
+func resolveDeps(t *Trace, m *match) {
 	for i := range t.Records {
-		r := &t.Records[i]
-		if r.Kind != KindRecv {
-			continue
+		if r := &t.Records[i]; r.Kind == KindRecv {
+			r.Dep = t.Records[m.peer[i]].Seq
 		}
-		k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-		j := next[k]
-		if j >= len(sendSeqs[k]) {
-			return fmt.Errorf("trace: capture: %v has no matching send", *r)
-		}
-		r.Dep = sendSeqs[k][j]
-		next[k] = j + 1
 	}
-	return nil
 }

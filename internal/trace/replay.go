@@ -129,7 +129,8 @@ const replayCensusTop = 10
 // transport.Net.Transfer, recvs block on the matching payload — so
 // cross-rank dependencies resolve exactly as the application's own
 // message ordering would, under whatever placement and congestion policy
-// the config selects. The trace is validated first; a valid trace
+// the config selects. The trace must be valid (a decoded or captured
+// trace already is; any other is validated first); a valid trace
 // cannot deadlock the engine.
 //
 // Replay is the one-shot path: it builds an Evaluator, runs the

@@ -35,6 +35,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"roadrunner/internal/units"
@@ -128,9 +129,16 @@ type Meta struct {
 // placement search — writes to its Meta or Records. One decoded trace
 // may therefore back any number of concurrent replays and searches; a
 // caller that wants to edit one works on a copy.
+//
+// Decode and Recorder.Trace also keep the validated send/recv match on
+// the trace, so the evaluators, Traffic and the surrogate never check
+// it again. A copy whose Records slice or Meta.Ranks is replaced is
+// validated afresh by each of them, like a trace built as a literal.
 type Trace struct {
 	Meta    Meta
 	Records []Record
+
+	m *match // set by Decode and Recorder.Trace before the trace is shared
 }
 
 // Stats summarises a trace's content.
@@ -227,184 +235,251 @@ const (
 //     edges) is acyclic, so a replay can always make progress.
 //
 // A trace that passes Validate replays without deadlock under every
-// placement and congestion policy.
+// placement and congestion policy. The error is deterministic: it names
+// the first malformed record in canonical order, or else the first
+// record in canonical order that cannot be paired.
+//
+// Validate always checks in full. Decode and Recorder.Trace validate
+// once and keep the result on the trace they return, so the replay
+// evaluators, Traffic and the surrogate reuse it instead of checking
+// again.
 func (t *Trace) Validate() error {
+	_, err := newMatch(t, true)
+	return err
+}
+
+// match is a validated trace's resolved send/recv pairing, built by
+// newMatch and never written afterwards.
+type match struct {
+	// recs and ranks are the Records slice and rank count the match was
+	// built from: a trace whose fields no longer agree is checked anew.
+	recs  []Record
+	ranks int
+	// peer[i] is the record index of record i's partner: a recv's
+	// matching send, a send's matching recv, -1 for a compute record.
+	peer []int32
+	// order lists every record index in a topological order of the
+	// dependency graph (program order plus send→recv edges).
+	order []int32
+}
+
+// matched returns the trace's validated match: the one Decode or
+// Recorder.Trace stored, while the trace still holds the records and
+// rank count it was built from, and otherwise a freshly built one (a
+// trace literal, or a copy with its Records or Meta.Ranks replaced).
+func (t *Trace) matched() (*match, error) {
+	if m := t.m; m != nil && m.ranks == t.Meta.Ranks && len(m.recs) == len(t.Records) &&
+		(len(m.recs) == 0 || &m.recs[0] == &t.Records[0]) {
+		return m, nil
+	}
+	return newMatch(t, true)
+}
+
+// chanQueue is one channel's state while newMatch pairs records: the
+// records not yet paired, oldest first, linked through newMatch's next
+// array. They are all sends or all recvs, since a record arriving while
+// the other kind waits pairs at once. The counts feed error messages.
+type chanQueue struct {
+	key          chanKey
+	head, tail   int32 // -1 when nothing waits
+	sends        bool  // the waiting records are sends
+	nSend, nRecv int
+}
+
+// newMatch validates the trace in one pass over its records — field
+// checks, then FIFO pairing per (src, dst, tag) channel as each send or
+// recv arrives — and runs Kahn's algorithm over the paired dependency
+// graph: if every record can be scheduled, no replay ordering can
+// deadlock. With checkDeps false the recvs' Dep fields are ignored
+// (the recorder fills them from the returned match).
+func newMatch(t *Trace, checkDeps bool) (*match, error) {
 	if t.Meta.Ranks < 1 {
-		return fmt.Errorf("trace: %d ranks", t.Meta.Ranks)
+		return nil, fmt.Errorf("trace: %d ranks", t.Meta.Ranks)
 	}
 	if t.Meta.Ranks > MaxRanks {
-		return fmt.Errorf("trace: %d ranks beyond the %d format bound", t.Meta.Ranks, MaxRanks)
+		return nil, fmt.Errorf("trace: %d ranks beyond the %d format bound", t.Meta.Ranks, MaxRanks)
 	}
+	n := len(t.Records)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("trace: %d records beyond the %d index bound", n, math.MaxInt32)
+	}
+	m := &match{recs: t.Records, ranks: t.Meta.Ranks, peer: make([]int32, n), order: make([]int32, 0, n)}
+	next := make([]int32, n)
+	chans := make(map[chanKey]int32)
+	var queues []chanQueue
+	// The lowest-indexed record that fails pairing, and its error.
+	bad, badErr := n, error(nil)
+
 	nextSeq := make([]int, t.Meta.Ranks)
 	prevRank := 0
 	var totalCompute units.Time
 	var totalBytes units.Size
 	for i, r := range t.Records {
 		if r.Rank < 0 || r.Rank >= t.Meta.Ranks {
-			return fmt.Errorf("trace: record %d: rank %d outside %d ranks", i, r.Rank, t.Meta.Ranks)
+			return nil, fmt.Errorf("trace: record %d: rank %d outside %d ranks", i, r.Rank, t.Meta.Ranks)
 		}
 		if r.Rank < prevRank {
-			return fmt.Errorf("trace: record %d: rank %d after rank %d (not canonical order)", i, r.Rank, prevRank)
+			return nil, fmt.Errorf("trace: record %d: rank %d after rank %d (not canonical order)", i, r.Rank, prevRank)
 		}
 		prevRank = r.Rank
 		if r.Seq != nextSeq[r.Rank] {
-			return fmt.Errorf("trace: record %d: rank %d seq %d, want %d (dense per-rank order)",
+			return nil, fmt.Errorf("trace: record %d: rank %d seq %d, want %d (dense per-rank order)",
 				i, r.Rank, r.Seq, nextSeq[r.Rank])
 		}
 		nextSeq[r.Rank]++
 		if !r.Kind.valid() {
-			return fmt.Errorf("trace: record %d: unknown kind %q", i, string(r.Kind))
+			return nil, fmt.Errorf("trace: record %d: unknown kind %q", i, string(r.Kind))
 		}
 		if r.Size < 0 {
-			return fmt.Errorf("trace: %v: negative size", r)
+			return nil, fmt.Errorf("trace: %v: negative size", r)
 		}
 		if r.Size > MaxMessageSize {
-			return fmt.Errorf("trace: %v: size beyond the %v format bound", r, MaxMessageSize)
+			return nil, fmt.Errorf("trace: %v: size beyond the %v format bound", r, MaxMessageSize)
 		}
 		if r.Duration < 0 {
-			return fmt.Errorf("trace: %v: negative duration", r)
+			return nil, fmt.Errorf("trace: %v: negative duration", r)
 		}
 		if r.Duration > MaxComputeDuration {
-			return fmt.Errorf("trace: %v: duration beyond the %v format bound", r, MaxComputeDuration)
+			return nil, fmt.Errorf("trace: %v: duration beyond the %v format bound", r, MaxComputeDuration)
 		}
 		if totalCompute += r.Duration; totalCompute > MaxTotalCompute {
-			return fmt.Errorf("trace: total compute beyond the %v format bound", MaxTotalCompute)
+			return nil, fmt.Errorf("trace: total compute beyond the %v format bound", MaxTotalCompute)
 		}
 		if totalBytes += r.Size; totalBytes > MaxTotalBytes {
-			return fmt.Errorf("trace: total payload beyond the %v format bound", MaxTotalBytes)
+			return nil, fmt.Errorf("trace: total payload beyond the %v format bound", MaxTotalBytes)
 		}
 		if r.At < 0 {
-			return fmt.Errorf("trace: %v: negative timestamp", r)
+			return nil, fmt.Errorf("trace: %v: negative timestamp", r)
 		}
 		if r.Tag < 0 {
-			return fmt.Errorf("trace: %v: negative tag", r)
+			return nil, fmt.Errorf("trace: %v: negative tag", r)
 		}
+		m.peer[i] = -1
+		key := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
 		switch r.Kind {
 		case KindCompute:
 			if r.Peer != NoPeer || r.Dep != NoDep || r.Size != 0 || r.Tag != 0 {
-				return fmt.Errorf("trace: %v: compute with message fields set", r)
+				return nil, fmt.Errorf("trace: %v: compute with message fields set", r)
 			}
+			continue
 		case KindSend:
 			if r.Peer < 0 || r.Peer >= t.Meta.Ranks {
-				return fmt.Errorf("trace: %v: peer outside %d ranks", r, t.Meta.Ranks)
+				return nil, fmt.Errorf("trace: %v: peer outside %d ranks", r, t.Meta.Ranks)
 			}
 			if r.Dep != NoDep {
-				return fmt.Errorf("trace: %v: send with dep set", r)
+				return nil, fmt.Errorf("trace: %v: send with dep set", r)
 			}
 			if r.Duration != 0 {
-				return fmt.Errorf("trace: %v: send with duration set", r)
+				return nil, fmt.Errorf("trace: %v: send with duration set", r)
 			}
 		case KindRecv:
 			if r.Peer < 0 || r.Peer >= t.Meta.Ranks {
-				return fmt.Errorf("trace: %v: peer outside %d ranks", r, t.Meta.Ranks)
+				return nil, fmt.Errorf("trace: %v: peer outside %d ranks", r, t.Meta.Ranks)
 			}
-			if r.Dep < 0 {
-				return fmt.Errorf("trace: %v: recv without dep", r)
+			if checkDeps && r.Dep < 0 {
+				return nil, fmt.Errorf("trace: %v: recv without dep", r)
 			}
 			if r.Duration != 0 {
-				return fmt.Errorf("trace: %v: recv with duration set", r)
+				return nil, fmt.Errorf("trace: %v: recv with duration set", r)
 			}
+			key.src, key.dst = r.Peer, r.Rank
 		}
-	}
-	return t.validateMatching()
-}
 
-// validateMatching pairs sends with recvs per channel and runs the
-// acyclicity check over the resulting dependency graph.
-func (t *Trace) validateMatching() error {
-	// Global index of each record, for graph edges.
-	type ref struct {
-		idx  int // index into t.Records
-		size units.Size
-		seq  int
-	}
-	sends := make(map[chanKey][]ref)
-	recvs := make(map[chanKey][]ref)
-	for i, r := range t.Records {
-		switch r.Kind {
-		case KindSend:
-			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sends[k] = append(sends[k], ref{idx: i, size: r.Size, seq: r.Seq})
-		case KindRecv:
-			k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-			recvs[k] = append(recvs[k], ref{idx: i, size: r.Size, seq: r.Seq})
+		// Pair with the channel's oldest waiting record of the other
+		// kind, or wait.
+		c, ok := chans[key]
+		if !ok {
+			c = int32(len(queues))
+			chans[key] = c
+			queues = append(queues, chanQueue{key: key, head: -1, tail: -1})
 		}
-	}
-	// sendEdge[i] is the recv record index the send at index i unblocks
-	// (-1 for non-sends and the final sentinel).
-	sendEdge := make([]int, len(t.Records))
-	for i := range sendEdge {
-		sendEdge[i] = -1
-	}
-	for k, ss := range sends {
-		rs := recvs[k]
-		if len(rs) != len(ss) {
-			return fmt.Errorf("trace: channel %d->%d tag %d: %d sends but %d recvs",
-				k.src, k.dst, k.tag, len(ss), len(rs))
+		q := &queues[c]
+		isSend := r.Kind == KindSend
+		if isSend {
+			q.nSend++
+		} else {
+			q.nRecv++
 		}
-		for j, s := range ss {
-			r := rs[j]
-			rec := t.Records[r.idx]
-			if rec.Dep != s.seq {
-				return fmt.Errorf("trace: %v: dep %d, want seq %d of the matching send (FIFO on channel %d->%d tag %d)",
-					rec, rec.Dep, s.seq, k.src, k.dst, k.tag)
+		if q.head < 0 || q.sends == isSend {
+			next[i] = -1
+			if q.head < 0 {
+				q.head, q.sends = int32(i), isSend
+			} else {
+				next[q.tail] = int32(i)
 			}
-			if r.size != s.size {
-				return fmt.Errorf("trace: %v: size %v but matching send carries %v", rec, r.size, s.size)
-			}
-			sendEdge[s.idx] = r.idx
+			q.tail = int32(i)
+			continue
+		}
+		j := q.head
+		if q.head = next[j]; q.head < 0 {
+			q.tail = -1
+		}
+		s, rv := int(j), i
+		if isSend {
+			s, rv = i, int(j)
+		}
+		m.peer[s], m.peer[rv] = int32(rv), int32(s)
+		if rv >= bad {
+			continue
+		}
+		send, recv := t.Records[s], t.Records[rv]
+		if checkDeps && recv.Dep != send.Seq {
+			bad, badErr = rv, fmt.Errorf("trace: %v: dep %d, want seq %d of the matching send (FIFO on channel %d->%d tag %d)",
+				recv, recv.Dep, send.Seq, key.src, key.dst, key.tag)
+		} else if recv.Size != send.Size {
+			bad, badErr = rv, fmt.Errorf("trace: %v: size %v but matching send carries %v", recv, recv.Size, send.Size)
 		}
 	}
-	for k, rs := range recvs {
-		if len(sends[k]) != len(rs) {
-			return fmt.Errorf("trace: channel %d->%d tag %d: %d recvs but %d sends",
-				k.src, k.dst, k.tag, len(rs), len(sends[k]))
+	// Whatever still waits is unpaired; each channel's first waiting
+	// record is its lowest.
+	for _, q := range queues {
+		if q.head < 0 || int(q.head) >= bad {
+			continue
 		}
+		bad = int(q.head)
+		want := "recv"
+		if !q.sends {
+			want = "send"
+		}
+		badErr = fmt.Errorf("trace: %v: no matching %s (channel %d->%d tag %d: %d sends, %d recvs)",
+			t.Records[bad], want, q.key.src, q.key.dst, q.key.tag, q.nSend, q.nRecv)
 	}
-	return t.validateAcyclic(sendEdge)
-}
+	if badErr != nil {
+		return nil, badErr
+	}
 
-// validateAcyclic runs Kahn's algorithm over program-order and send→recv
-// edges: if every record can be scheduled, no replay ordering can
-// deadlock.
-func (t *Trace) validateAcyclic(sendEdge []int) error {
-	n := len(t.Records)
-	indeg := make([]int, n)
+	// Kahn's algorithm, the order slice doubling as its FIFO queue. A
+	// record's in-degree is its program-order edge (Seq > 0) plus, for a
+	// recv, its send→recv edge.
+	indeg := make([]uint8, n)
 	for i, r := range t.Records {
 		if r.Seq > 0 {
-			indeg[i]++ // program-order edge from the rank's previous record
+			indeg[i]++
 		}
-		if e := sendEdge[i]; e >= 0 {
-			indeg[e]++
+		if r.Kind == KindRecv {
+			indeg[i]++
 		}
-	}
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
+		if indeg[i] == 0 {
+			m.order = append(m.order, int32(i))
 		}
 	}
-	done := 0
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		// Successors: the rank's next record, and the matched recv.
-		if j := i + 1; j < n && t.Records[j].Rank == t.Records[i].Rank {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
+	for h := 0; h < len(m.order); h++ {
+		i := m.order[h]
+		// Successors: the rank's next record, and a send's recv.
+		if j := i + 1; int(j) < n && t.Records[j].Rank == t.Records[i].Rank {
+			if indeg[j]--; indeg[j] == 0 {
+				m.order = append(m.order, j)
 			}
 		}
-		if e := sendEdge[i]; e >= 0 {
-			indeg[e]--
-			if indeg[e] == 0 {
-				queue = append(queue, e)
+		if t.Records[i].Kind == KindSend {
+			e := m.peer[i]
+			if indeg[e]--; indeg[e] == 0 {
+				m.order = append(m.order, e)
 			}
 		}
 	}
-	if done != n {
-		return fmt.Errorf("trace: dependency cycle: only %d of %d records schedulable (a replay would deadlock)", done, n)
+	if len(m.order) != n {
+		return nil, fmt.Errorf("trace: dependency cycle: only %d of %d records schedulable (a replay would deadlock)", len(m.order), n)
 	}
-	return nil
+	return m, nil
 }

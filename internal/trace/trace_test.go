@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"roadrunner/internal/fabric"
+	"roadrunner/internal/ib"
+	"roadrunner/internal/transport"
 	"roadrunner/internal/units"
 )
 
@@ -110,17 +113,70 @@ func TestValidateRejects(t *testing.T) {
 		{"size mismatch", func(tr *Trace) { tr.Records[3].Size = 1 }, "matching send carries"},
 		{"wrong dep seq", func(tr *Trace) { tr.Records[3].Dep = 0 }, "FIFO"},
 	}
+	// Every consumer of a trace literal checks it in full: none may
+	// trust a match the literal does not carry.
+	fab := fabric.NewScaled(1)
+	consumers := []struct {
+		name string
+		use  func(*Trace) error
+	}{
+		{"Validate", (*Trace).Validate},
+		{"NewEvaluator", func(tr *Trace) error {
+			ev, err := NewEvaluator(tr, ReplayConfig{Fabric: fab, Profile: ib.OpenMPI(), Policy: transport.Congested()})
+			if err == nil {
+				ev.Close()
+			}
+			return err
+		}},
+		{"Traffic", func(tr *Trace) error {
+			_, err := tr.Traffic(ib.OpenMPI().EagerThreshold)
+			return err
+		}},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := mutate(t, tc.mut)
-			err := tr.Validate()
-			if err == nil {
-				t.Fatal("invalid trace accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			for _, c := range consumers {
+				t.Run(c.name, func(t *testing.T) {
+					err := c.use(mutate(t, tc.mut))
+					if err == nil {
+						t.Fatal("invalid trace accepted")
+					}
+					if !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("error %q does not mention %q", err, tc.want)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestValidateErrorDeterministic pins the error of a trace with many
+// faults: every call names the lowest offending record in canonical
+// order, never whichever channel a map iteration meets first.
+func TestValidateErrorDeterministic(t *testing.T) {
+	// Rank 0's first record is an orphan recv; every other message
+	// record is an unmatched send or an orphan recv on its own channel.
+	tr := &Trace{
+		Meta: Meta{Name: "faults", App: "test", Ranks: 4},
+		Records: []Record{
+			{Rank: 0, Seq: 0, Kind: KindRecv, Peer: 1, Tag: 5, Size: 8, Dep: 0},
+			{Rank: 0, Seq: 1, Kind: KindSend, Peer: 1, Tag: 1, Size: 8, Dep: NoDep},
+			{Rank: 1, Seq: 0, Kind: KindSend, Peer: 2, Tag: 2, Size: 8, Dep: NoDep},
+			{Rank: 2, Seq: 0, Kind: KindRecv, Peer: 3, Tag: 3, Size: 8, Dep: 0},
+			{Rank: 3, Seq: 0, Kind: KindSend, Peer: 0, Tag: 4, Size: 8, Dep: NoDep},
+		},
+	}
+	want := tr.Validate()
+	if want == nil {
+		t.Fatal("multi-fault trace accepted")
+	}
+	if !strings.Contains(want.Error(), tr.Records[0].String()) {
+		t.Errorf("error %q does not name the lowest offending record %v", want, tr.Records[0])
+	}
+	for i := 0; i < 200; i++ {
+		if err := tr.Validate(); err.Error() != want.Error() {
+			t.Fatalf("call %d: error %q, first call said %q", i, err, want)
+		}
 	}
 }
 

@@ -71,18 +71,27 @@ type TrafficMatrix struct {
 	// makespan.
 	RankCompute    []units.Time
 	MaxRankCompute units.Time
+
+	m *match // the trace's validated match, read by Partner
 }
+
+// Partner returns the record index of record i's FIFO partner in the
+// trace the matrix was computed from: a recv's matching send, a send's
+// matching recv, or -1 for a compute record.
+func (m *TrafficMatrix) Partner(i int) int { return int(m.m.peer[i]) }
 
 // Traffic computes the trace's placement-independent traffic matrix.
 // eager is the transport profile's eager threshold (messages strictly
-// above it are counted as rendezvous). The trace is validated first;
-// the matrix of an invalid trace is an error, never a panic.
+// above it are counted as rendezvous). It reads the trace's validated
+// match (validating first when the trace carries none); the matrix of
+// an invalid trace is an error, never a panic.
 func (t *Trace) Traffic(eager units.Size) (*TrafficMatrix, error) {
-	if err := t.Validate(); err != nil {
+	mt, err := t.matched()
+	if err != nil {
 		return nil, err
 	}
 	n := len(t.Records)
-	m := &TrafficMatrix{Ranks: t.Meta.Ranks}
+	m := &TrafficMatrix{Ranks: t.Meta.Ranks, m: mt}
 
 	// Pair aggregation, keyed by directed rank pair. Records are in
 	// canonical order, so iterating them makes the totals deterministic.
@@ -120,63 +129,19 @@ func (t *Trace) Traffic(eager units.Size) (*TrafficMatrix, error) {
 		}
 	}
 
-	// The send→recv edge table, exactly as validateMatching builds it
-	// (the trace just validated, so matching cannot fail): sendOf[i] is
-	// the matching send's record index for the recv at index i.
-	sends := make(map[chanKey][]int)
-	recvs := make(map[chanKey][]int)
-	for i, r := range t.Records {
-		switch r.Kind {
-		case KindSend:
-			k := chanKey{src: r.Rank, dst: r.Peer, tag: r.Tag}
-			sends[k] = append(sends[k], i)
-		case KindRecv:
-			k := chanKey{src: r.Peer, dst: r.Rank, tag: r.Tag}
-			recvs[k] = append(recvs[k], i)
-		}
-	}
-	sendOf := make([]int, n)
-	recvOf := make([]int, n) // the recv a send unblocks (validateAcyclic's sendEdge)
-	for i := range sendOf {
-		sendOf[i] = -1
-		recvOf[i] = -1
-	}
-	for k, ss := range sends {
-		for j, s := range ss {
-			sendOf[recvs[k][j]] = s
-			recvOf[s] = recvs[k][j]
-		}
-	}
-
-	// Longest-chain DP in Kahn order over the same edge set
-	// validateAcyclic schedules: each record's chain value is the best
-	// over its program-order predecessor and (for a recv) its matching
-	// send, a message edge adding (1 msg, its bytes); the record's own
-	// compute is then folded in. The value at a node is fixed once all
-	// predecessors are done, so the result is independent of queue
-	// order. Ties prefer the program-order predecessor, making the
-	// backtracked chain deterministic.
+	// Longest-chain DP in the match's topological order: each record's
+	// chain value is the best over its program-order predecessor and
+	// (for a recv) its matching send, a message edge adding (1 msg, its
+	// bytes); the record's own compute is then folded in. The value at
+	// a node is fixed once its predecessors are, so the result does not
+	// depend on which topological order runs it. Ties prefer the
+	// program-order predecessor, making the backtracked chain
+	// deterministic.
 	chMsgs := make([]int64, n)
 	chBytes := make([]units.Size, n)
 	chComp := make([]units.Time, n)
-	parent := make([]int, n)
+	parent := make([]int32, n)
 	viaMsg := make([]bool, n)
-	indeg := make([]int, n)
-	for i, r := range t.Records {
-		parent[i] = -1
-		if r.Seq > 0 {
-			indeg[i]++
-		}
-		if sendOf[i] >= 0 {
-			indeg[i]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
 	// better reports whether chain value a strictly beats b.
 	better := func(am int64, ab units.Size, ac units.Time, bm int64, bb units.Size, bc units.Time) bool {
 		if am != bm {
@@ -187,13 +152,15 @@ func (t *Trace) Traffic(eager units.Size) (*TrafficMatrix, error) {
 		}
 		return ac > bc
 	}
-	settle := func(i int) {
+	for _, i := range mt.order {
 		r := t.Records[i]
+		parent[i] = -1
 		if r.Seq > 0 {
 			p := i - 1 // canonical order: the rank's previous record
 			chMsgs[i], chBytes[i], chComp[i], parent[i] = chMsgs[p], chBytes[p], chComp[p], p
 		}
-		if s := sendOf[i]; s >= 0 {
+		if r.Kind == KindRecv {
+			s := mt.peer[i]
 			cm, cb, cc := chMsgs[s]+1, chBytes[s]+r.Size, chComp[s]
 			if parent[i] < 0 || better(cm, cb, cc, chMsgs[i], chBytes[i], chComp[i]) {
 				chMsgs[i], chBytes[i], chComp[i] = cm, cb, cc
@@ -201,21 +168,6 @@ func (t *Trace) Traffic(eager units.Size) (*TrafficMatrix, error) {
 			}
 		}
 		chComp[i] += r.Duration
-	}
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		settle(i)
-		if j := i + 1; j < n && t.Records[j].Rank == t.Records[i].Rank {
-			if indeg[j]--; indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-		if e := recvOf[i]; e >= 0 {
-			if indeg[e]--; indeg[e] == 0 {
-				queue = append(queue, e)
-			}
-		}
 	}
 
 	// The chain end: the record with the maximal chain value (lowest
@@ -229,7 +181,7 @@ func (t *Trace) Traffic(eager units.Size) (*TrafficMatrix, error) {
 	}
 	if end >= 0 {
 		m.CritMsgs, m.CritBytes, m.CritCompute = chMsgs[end], chBytes[end], chComp[end]
-		for i := end; i >= 0; i = parent[i] {
+		for i := int32(end); i >= 0; i = parent[i] {
 			r := t.Records[i]
 			if viaMsg[i] {
 				// A crossed send→recv edge; r is the recv.
